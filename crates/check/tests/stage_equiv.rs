@@ -9,12 +9,18 @@
 //! within a tolerance — so any accidental reordering of floating-point
 //! work inside a stage shows up as a failure here.
 //!
+//! The `cut-area` / `cut-delay` rows were recorded with the covering DP
+//! still re-solving every cone member on every visit, before it became
+//! incremental; they pin the cut mapper's DP path to that oracle,
+//! including on the heavily overlapping cones of `random-dag-1000`.
+//!
 //! Regenerate with `cargo run --example golden_dump` after an
 //! *intentional* numeric change.
 
 use lily_cells::{Library, MappedNetwork, SignalSource};
 use lily_core::flow::{compare_flows, run_flow, FlowOptions};
-use lily_workloads::circuits;
+use lily_netlist::Network;
+use lily_workloads::{circuits, scale_circuit, ScaleFamily};
 
 /// (circuit, flow, cells, instance_area, chip_area, wire_length,
 /// critical_delay, structural hash) — `f64` fields as `to_bits()`.
@@ -42,6 +48,12 @@ const GOLDEN: &[GoldenRow] = &[
     ("C432", "lily-area", 121, 0x41241ae000000000, 0x4133e68bda7ae839, 0x40f68288cecfc9a7, 0x40469598f7217a7c, 0x62a9832a2eb04642),
     ("C432", "mis-delay", 200, 0x412ecc6000000000, 0x413f0976ab3259ee, 0x4101df2c315e1da2, 0x4019d15929b6c9c9, 0x8c66ee0b07131ed1),
     ("C432", "lily-delay", 198, 0x412e6ea000000000, 0x413e5d64f6259b0e, 0x41015017f4bd437e, 0x401a478b54e23772, 0x332103acde4e5618),
+    ("misex1", "cut-area", 37, 0x4103c68000000000, 0x410dc26dbecdbd49, 0x40c6d21f6afad539, 0x40380a7168a9a12c, 0x8a1f63187e7d705f),
+    ("misex1", "cut-delay", 56, 0x410c6b0000000000, 0x4115bfe9b4d1b324, 0x40d13c5f542874e4, 0x401548ffa60e82cf, 0x7f54c852e0f36a64),
+    ("C432", "cut-area", 159, 0x4124fbe000000000, 0x4133f56c7ccb6c71, 0x40f5a365af87d34c, 0x4044298a76b69675, 0x97fe60dfb4f79fec),
+    ("C432", "cut-delay", 202, 0x412a5e0000000000, 0x4138f331e18a909b, 0x40fae5044caa6f19, 0x4020969f3edd0fa8, 0x33403594d71da627),
+    ("random-dag-1000", "cut-area", 1666, 0x415bdf8c00000000, 0x4176487901526d9e, 0x414180ab6f39a1d9, 0x4062ff7e56159f45, 0xf5ec4bc66c5dbb82),
+    ("random-dag-1000", "cut-delay", 2294, 0x4163104600000000, 0x417e7e3971090e8f, 0x4147f4abeee5c77f, 0x403baeab91824af9, 0xe81dec971697eecf),
 ];
 
 fn flow_setup(flow: &str) -> (FlowOptions, Library) {
@@ -50,7 +62,19 @@ fn flow_setup(flow: &str) -> (FlowOptions, Library) {
         "lily-area" => (FlowOptions::lily_area(), Library::big()),
         "mis-delay" => (FlowOptions::mis_delay(), Library::big_1u()),
         "lily-delay" => (FlowOptions::lily_delay(), Library::big_1u()),
+        "cut-area" => (FlowOptions::cut_area(), Library::big()),
+        "cut-delay" => (FlowOptions::cut_delay(), Library::big_1u()),
         other => panic!("unknown flow {other}"),
+    }
+}
+
+/// The golden circuits: the named seed circuits plus `random-dag-1000`,
+/// a seeded 1000-node random DAG whose many overlapping output cones
+/// exercise the covering DP's revisits.
+fn network(name: &str) -> Network {
+    match name {
+        "random-dag-1000" => scale_circuit(ScaleFamily::RandomDag, 1000, 7),
+        _ => circuits::circuit(name),
     }
 }
 
@@ -79,7 +103,7 @@ fn structural_hash(mapped: &MappedNetwork) -> u64 {
 #[test]
 fn stage_graph_flow_reproduces_pre_refactor_goldens() {
     for &(name, flow, cells, inst, chip, wire, delay, hash) in GOLDEN {
-        let net = circuits::circuit(name);
+        let net = network(name);
         let (opts, lib) = flow_setup(flow);
         let r = run_flow(&net, &lib, &opts).expect("flow");
         let m = &r.metrics;

@@ -6,17 +6,44 @@
 
 use lily::cells::Library;
 use lily::core::flow::FlowOptions;
+use lily::netlist::Network;
+use lily::workloads::{scale_circuit, ScaleFamily};
+
+/// The golden circuits: the named seed circuits plus `random-dag-1000`,
+/// a seeded 1000-node random DAG whose many overlapping output cones
+/// exercise the covering DP's revisits.
+fn network(name: &str) -> Network {
+    match name {
+        "random-dag-1000" => scale_circuit(ScaleFamily::RandomDag, 1000, 7),
+        _ => lily::workloads::circuits::circuit(name),
+    }
+}
 
 fn main() {
-    let circuits = ["misex1", "b9", "9symml", "apex7", "C432"];
-    for name in circuits {
-        let net = lily::workloads::circuits::circuit(name);
-        for (fname, opts, lib) in [
-            ("mis-area", FlowOptions::mis_area(), Library::big()),
-            ("lily-area", FlowOptions::lily_area(), Library::big()),
-            ("mis-delay", FlowOptions::mis_delay(), Library::big_1u()),
-            ("lily-delay", FlowOptions::lily_delay(), Library::big_1u()),
-        ] {
+    let structural: &[&str] = &["mis-area", "lily-area", "mis-delay", "lily-delay"];
+    let cut: &[&str] = &["cut-area", "cut-delay"];
+    let rows = [
+        ("misex1", structural),
+        ("b9", structural),
+        ("9symml", structural),
+        ("apex7", structural),
+        ("C432", structural),
+        ("misex1", cut),
+        ("C432", cut),
+        ("random-dag-1000", cut),
+    ];
+    for (name, flows) in rows {
+        let net = network(name);
+        for &fname in flows {
+            let (opts, lib) = match fname {
+                "mis-area" => (FlowOptions::mis_area(), Library::big()),
+                "lily-area" => (FlowOptions::lily_area(), Library::big()),
+                "mis-delay" => (FlowOptions::mis_delay(), Library::big_1u()),
+                "lily-delay" => (FlowOptions::lily_delay(), Library::big_1u()),
+                "cut-area" => (FlowOptions::cut_area(), Library::big()),
+                "cut-delay" => (FlowOptions::cut_delay(), Library::big_1u()),
+                other => unreachable!("unknown flow {other}"),
+            };
             let r = opts.run_detailed(&net, &lib).unwrap();
             let m = &r.metrics;
             // Structural hash of the mapped netlist: gates + positions.
