@@ -440,7 +440,9 @@ fn encode_stats(stats: &MapStats) -> String {
         .uint("hawks", stats.lifecycle.hawks as u64)
         .uint("reincarnations", stats.lifecycle.reincarnations as u64)
         .uint("matches_enumerated", stats.matches_enumerated as u64)
-        .uint("scopes", stats.scopes as u64);
+        .uint("scopes", stats.scopes as u64)
+        .uint("dp_solves", stats.dp_solves as u64)
+        .uint("dp_reused", stats.dp_reused as u64);
     o = match stats.ordering_cost {
         Some(c) => o.uint("ordering_cost", c as u64),
         None => o.raw("ordering_cost", "null"),
@@ -472,6 +474,8 @@ fn decode_stats(v: &Json) -> Result<MapStats, String> {
         },
         matches_enumerated: usize_field(v, "matches_enumerated")?,
         scopes: usize_field(v, "scopes")?,
+        dp_solves: usize_field(v, "dp_solves")?,
+        dp_reused: usize_field(v, "dp_reused")?,
         ordering_cost: match v.get("ordering_cost") {
             Some(Json::Null) => None,
             Some(c) => Some(c.as_usize().ok_or_else(|| "bad ordering_cost".to_string())?),
@@ -1281,6 +1285,17 @@ mod tests {
         let plain = FlowOptions::mis_area().run_detailed(&net, &lib).unwrap();
         assert_eq!(plain.metrics.wire_length.to_bits(), mis.metrics.wire_length.to_bits());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn map_stats_codec_round_trips_the_dp_counters() {
+        let lib = Library::big();
+        let stats = FlowOptions::cut_area().run(&flow_fixture(), &lib).unwrap().stats;
+        assert!(stats.dp_solves > 0);
+        let decoded = decode_stats(&Json::parse(&encode_stats(&stats)).unwrap()).unwrap();
+        assert_eq!(decoded, stats);
+        let odd = MapStats { dp_solves: 7, dp_reused: 1 << 40, ..stats };
+        assert_eq!(decode_stats(&Json::parse(&encode_stats(&odd)).unwrap()).unwrap(), odd);
     }
 
     #[test]

@@ -7,11 +7,31 @@
 //! into cells, how logic duplication (dove reincarnation) is handled,
 //! and which committed cells consume each subject signal (the *true
 //! fanout* bookkeeping of Section 3.3).
+//!
+//! # Incremental covering
+//!
+//! Cones overlap, so cone-by-cone covering visits shared logic once per
+//! cone that contains it. A node's DP result is a pure function of what
+//! its matches read: the solutions, life-state class (egg/nestling,
+//! dove, hawk) and committed consumers of every node in
+//! `m.inputs ∪ m.covered` over its matches, plus the life-state class of
+//! its own fanouts. The engine keeps a version stamp per node that moves
+//! whenever any of that changes — [`Engine::commit`] bumps every node
+//! whose state or consumers it touched, together with that node's
+//! fanins (whose true-fanout sets just changed), and
+//! [`Engine::record_solve`] bumps a node whose re-solve produced
+//! different bits. [`Engine::reuse`] then skips a visited node whose
+//! dependencies are all older than its last solve: its stored solution
+//! is exactly what a re-solve would produce. Only cone scopes revisit
+//! nodes, and they filter no matches, so the rule never has to account
+//! for [`Engine::match_allowed`].
 
 use crate::error::MapError;
 use crate::matching::{Match, MatchIndex};
 use lily_cells::{CellId, Library, MappedCell, MappedNetwork, SignalSource};
-use lily_netlist::cones::{cones, maximal_trees, Cone, Tree};
+use lily_netlist::cones::{
+    cones, exit_line_matrix, maximal_trees, order_cones, ordering_cost, Cone, Tree,
+};
 use lily_netlist::{
     LifeCycle, LifeCycleStats, NodeState, SubjectGraph, SubjectKind, SubjectNodeId,
 };
@@ -52,6 +72,11 @@ pub struct MapStats {
     pub ordering_cost: Option<usize>,
     /// Cut-enumeration statistics, when the cut mapper ran.
     pub cuts: Option<lily_netlist::CutStats>,
+    /// Node solves the covering DP actually ran.
+    pub dp_solves: usize,
+    /// Node visits that reused the stored solution instead, because
+    /// nothing it depends on had changed since its last solve.
+    pub dp_reused: usize,
 }
 
 /// The output of a mapping run.
@@ -113,8 +138,20 @@ pub struct Engine<'a> {
     pub committed_consumers: Vec<Vec<(CellId, usize)>>,
     /// Subject fanout adjacency (cached).
     pub fanouts: Vec<Vec<SubjectNodeId>>,
-    /// Primary-output reference counts (cached).
-    pub orefs: Vec<usize>,
+    /// Primary outputs driven by each node, as a CSR over output
+    /// indices in output order: node `v` drives
+    /// `po_index[po_start[v]..po_start[v + 1]]`.
+    po_start: Vec<usize>,
+    po_index: Vec<usize>,
+    /// Version clock of the incremental DP; every solve and every
+    /// commit takes a fresh tick.
+    clock: u64,
+    /// Tick at which each node's observable state last changed.
+    version: Vec<u64>,
+    /// Tick of each node's last solve (0: never solved).
+    solved_at: Vec<u64>,
+    /// Nodes whose state or consumers the running commit changed.
+    touched: Vec<SubjectNodeId>,
     stats: MapStats,
 }
 
@@ -136,6 +173,19 @@ impl<'a> Engine<'a> {
         let n = g.node_count();
         let mapped = MappedNetwork::new(g.name(), g.input_names().to_vec());
         let matches_enumerated = idx.total();
+        let mut po_start = vec![0usize; n + 1];
+        for o in g.outputs() {
+            po_start[o.driver.index() + 1] += 1;
+        }
+        for i in 0..n {
+            po_start[i + 1] += po_start[i];
+        }
+        let mut fill = po_start.clone();
+        let mut po_index = vec![0usize; g.outputs().len()];
+        for (oi, o) in g.outputs().iter().enumerate() {
+            po_index[fill[o.driver.index()]] = oi;
+            fill[o.driver.index()] += 1;
+        }
         Self {
             g,
             lib,
@@ -147,7 +197,12 @@ impl<'a> Engine<'a> {
             mapped,
             committed_consumers: vec![Vec::new(); n],
             fanouts: g.fanouts(),
-            orefs: g.output_ref_counts(),
+            po_start,
+            po_index,
+            clock: 0,
+            version: vec![0; n],
+            solved_at: vec![0; n],
+            touched: Vec::new(),
             stats: MapStats { matches_enumerated, ..MapStats::default() },
         }
     }
@@ -157,18 +212,31 @@ impl<'a> Engine<'a> {
         self.stats.cuts = Some(stats);
     }
 
-    /// The covering scopes in processing order. For cones,
-    /// `cone_order` optionally reorders them (Lily's Section 3.5); for
-    /// trees, topological (root id) order is used.
-    pub fn scopes(&mut self, partition: Partition, cone_order: Option<&[usize]>) -> Vec<Scope> {
+    /// The primary outputs `v` drives, as output indices in output
+    /// order.
+    pub fn outputs_of(&self, v: SubjectNodeId) -> &[usize] {
+        &self.po_index[self.po_start[v.index()]..self.po_start[v.index() + 1]]
+    }
+
+    /// The covering scopes in processing order. Cones come in output
+    /// order, or in the exit-line-minimizing order of Lily's Section
+    /// 3.5 when `cone_ordering` is set (its objective lands in the
+    /// stats); trees come in topological (root id) order.
+    pub fn scopes(&mut self, partition: Partition, cone_ordering: bool) -> Vec<Scope> {
         let scopes: Vec<Scope> = match partition {
-            Partition::Cones => {
-                let cs = cones(self.g);
-                match cone_order {
-                    Some(order) => order.iter().map(|&i| Scope::Cone(cs[i].clone())).collect(),
-                    None => cs.into_iter().map(Scope::Cone).collect(),
+            Partition::Cones if cone_ordering => {
+                let mut cs = cones(self.g);
+                let m = exit_line_matrix(self.g, &cs);
+                let order = order_cones(&m);
+                self.stats.ordering_cost = Some(ordering_cost(&m, &order));
+                let mut rank = vec![0; order.len()];
+                for (r, &i) in order.iter().enumerate() {
+                    rank[i] = r;
                 }
+                cs.sort_unstable_by_key(|c| rank[c.output_index]);
+                cs.into_iter().map(Scope::Cone).collect()
             }
+            Partition::Cones => cones(self.g).into_iter().map(Scope::Cone).collect(),
             Partition::Trees => maximal_trees(self.g).into_iter().map(Scope::Tree).collect(),
         };
         self.stats.scopes = scopes.len();
@@ -200,6 +268,40 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Whether `v`'s stored DP solution is still exactly what a re-solve
+    /// would produce: `v` was solved before and no node its matches read
+    /// has changed since (see the module docs). On `true` the node
+    /// counts as solved for the current scope, keeping its `chosen`
+    /// match; call after [`Engine::visit`].
+    pub fn reuse(&mut self, v: SubjectNodeId) -> bool {
+        let at = self.solved_at[v.index()];
+        let fresh = |d: &SubjectNodeId| self.version[d.index()] <= at;
+        let valid = at > 0
+            && fresh(&v)
+            && self.idx.at(v).iter().all(|m| m.inputs.iter().chain(&m.covered).all(fresh));
+        if valid {
+            self.solved[v.index()] = true;
+            self.stats.dp_reused += 1;
+        }
+        valid
+    }
+
+    /// Records a fresh solve of `v` that chose match `mi`. `changed`
+    /// tells whether the cost model's stored solution differs in any bit
+    /// from the previous one; a first solve, a changed solution or a
+    /// different match invalidates every node that reads `v`.
+    pub fn record_solve(&mut self, v: SubjectNodeId, mi: usize, changed: bool) {
+        let i = v.index();
+        self.clock += 1;
+        if changed || self.solved_at[i] == 0 || self.chosen[i] != mi {
+            self.version[i] = self.clock;
+        }
+        self.solved_at[i] = self.clock;
+        self.chosen[i] = mi;
+        self.solved[i] = true;
+        self.stats.dp_solves += 1;
+    }
+
     /// Whether matches rooted in `scope` may use this match (trees:
     /// covered nodes must stay inside the tree).
     pub fn match_allowed(&self, scope: &Scope, m: &Match) -> bool {
@@ -225,13 +327,31 @@ impl<'a> Engine<'a> {
 
     /// Commits the chosen cover rooted at `v`, creating cells bottom-up.
     /// `pos_of(v)` supplies each new cell's position. Returns the signal
-    /// carrying `v`'s value.
+    /// carrying `v`'s value. Every node whose state or consumers changed
+    /// gets a new version, as do its fanins.
     ///
     /// # Panics
     ///
     /// Panics if a needed node has no DP solution (engine misuse).
-    // lily-lint: allow(LL04) -- engine-misuse guard: the DP pass always solves nodes before commit, so there is no caller-facing failure to surface
     pub fn commit(
+        &mut self,
+        v: SubjectNodeId,
+        pos_of: &mut dyn FnMut(SubjectNodeId) -> (f64, f64),
+    ) -> SignalSource {
+        let signal = self.commit_cover(v, pos_of);
+        if !self.touched.is_empty() {
+            self.clock += 1;
+            for w in std::mem::take(&mut self.touched) {
+                self.version[w.index()] = self.clock;
+                for u in self.g.kind(w).fanins() {
+                    self.version[u.index()] = self.clock;
+                }
+            }
+        }
+        signal
+    }
+
+    fn commit_cover(
         &mut self,
         v: SubjectNodeId,
         pos_of: &mut dyn FnMut(SubjectNodeId) -> (f64, f64),
@@ -254,16 +374,19 @@ impl<'a> Engine<'a> {
         let m = self.idx.at(v)[self.chosen[v.index()]].clone();
         // Resolve fanin signals first (bottom-up recursion).
         let fanins: Vec<SignalSource> =
-            m.inputs.iter().map(|&vi| self.commit(vi, pos_of)).collect();
+            m.inputs.iter().map(|&vi| self.commit_cover(vi, pos_of)).collect();
         let cell = self.mapped.add_cell(MappedCell { gate: m.gate, fanins, position: pos_of(v) });
         self.life.commit_hawk(v);
         self.cell_of[v.index()] = Some(cell);
+        self.touched.push(v);
         for (pin, &vi) in m.inputs.iter().enumerate() {
             self.committed_consumers[vi.index()].push((cell, pin));
+            self.touched.push(vi);
         }
         for &c in &m.covered[1..] {
             if self.life.state(c) == NodeState::Nestling {
                 self.life.commit_dove(c);
+                self.touched.push(c);
             }
         }
         SignalSource::Cell(cell)
@@ -274,7 +397,7 @@ impl<'a> Engine<'a> {
     /// outside the match, or a primary output, still needs `c`'s
     /// signal, forcing the logic to be re-derived (duplicated) later.
     pub fn externally_needed(&self, c: SubjectNodeId, covered: &[SubjectNodeId]) -> bool {
-        if self.orefs[c.index()] > 0 {
+        if !self.outputs_of(c).is_empty() {
             return true;
         }
         if !self.committed_consumers[c.index()].is_empty() {
@@ -284,11 +407,6 @@ impl<'a> Engine<'a> {
             !covered.contains(&w)
                 && matches!(self.life.state(w), NodeState::Egg | NodeState::Nestling)
         })
-    }
-
-    /// Records the cone-ordering objective for the stats.
-    pub fn set_ordering_cost(&mut self, cost: usize) {
-        self.stats.ordering_cost = Some(cost);
     }
 
     /// Finalizes: wires primary outputs and returns the result.
@@ -326,9 +444,9 @@ mod tests {
         let g = graph();
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
-        let cones = e.scopes(Partition::Cones, None);
+        let cones = e.scopes(Partition::Cones, false);
         assert_eq!(cones.len(), 1);
-        let trees = e.scopes(Partition::Trees, None);
+        let trees = e.scopes(Partition::Trees, false);
         assert_eq!(trees.len(), 1); // single-fanout chain: one tree
     }
 
@@ -356,7 +474,7 @@ mod tests {
         g.set_output("y2", shared);
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
-        let scopes = e.scopes(Partition::Trees, None);
+        let scopes = e.scopes(Partition::Trees, false);
         let inv_tree = scopes.iter().find(|s| s.root() == inv).expect("inverter tree");
         // and2 gate at `inv` would cover `shared`, which is outside the
         // inverter's tree.
@@ -398,12 +516,76 @@ mod tests {
     }
 
     #[test]
+    fn reuse_tracks_changed_solves_and_commits() {
+        // shared = nand(a, b) feeds y1 = inv(shared) and y2 = nand(shared, c).
+        let mut g = SubjectGraph::new("g");
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let c = g.add_input("c");
+        let shared = g.nand2(a, b);
+        let y1 = g.inv(shared);
+        let y2 = g.nand2(shared, c);
+        g.set_output("y1", y1);
+        g.set_output("y2", y2);
+        let lib = Library::big();
+        let mut e = Engine::new(&g, &lib).unwrap();
+        // The base-function match: one gate per node, nothing absorbed.
+        let base = |e: &Engine, v: SubjectNodeId| {
+            e.idx.at(v).iter().position(|m| m.covered.len() == 1).unwrap()
+        };
+
+        assert!(e.visit(shared) && !e.reuse(shared), "never solved");
+        e.record_solve(shared, base(&e, shared), true);
+        assert!(e.reuse(shared), "nothing changed since its solve");
+        assert!(e.visit(y2));
+        e.record_solve(y2, base(&e, y2), true);
+        assert!(e.reuse(y2));
+
+        // A re-solve of `shared` that changed bits invalidates its reader.
+        e.record_solve(shared, base(&e, shared), true);
+        assert!(e.reuse(shared) && !e.reuse(y2));
+        e.record_solve(y2, base(&e, y2), false);
+        // One that reproduced the same bits does not.
+        e.record_solve(shared, base(&e, shared), false);
+        assert!(e.reuse(y2));
+
+        // Committing y1 makes `shared` a hawk with a consumer: y2 prices
+        // that net, so it must re-solve.
+        assert!(e.visit(y1));
+        e.record_solve(y1, base(&e, y1), true);
+        e.commit(y1, &mut |_| (0.0, 0.0));
+        assert_eq!(e.life.state(shared), NodeState::Hawk);
+        assert!(!e.reuse(y2));
+
+        e.record_solve(y2, base(&e, y2), false);
+        e.commit(y2, &mut |_| (0.0, 0.0));
+        let stats = e.finish().stats;
+        assert_eq!((stats.dp_solves, stats.dp_reused), (7, 4));
+    }
+
+    #[test]
+    fn outputs_of_lists_driven_outputs_in_output_order() {
+        let mut g = SubjectGraph::new("g");
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let n = g.nand2(a, b);
+        g.set_output("y0", n);
+        g.set_output("y1", a);
+        g.set_output("y2", n);
+        let lib = Library::big();
+        let e = Engine::new(&g, &lib).unwrap();
+        assert_eq!(e.outputs_of(n), &[0, 2]);
+        assert_eq!(e.outputs_of(a), &[1]);
+        assert!(e.outputs_of(b).is_empty());
+    }
+
+    #[test]
     fn commit_builds_equivalent_netlist() {
         // Drive the engine by hand with a trivial cost rule: first match.
         let g = graph();
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
-        let scopes = e.scopes(Partition::Cones, None);
+        let scopes = e.scopes(Partition::Cones, false);
         for s in &scopes {
             for &v in s.members() {
                 if e.visit(v) {

@@ -647,6 +647,8 @@ impl FlowMetrics {
         let mut stats = JsonObject::new()
             .uint("matches_enumerated", self.stats.matches_enumerated as u64)
             .uint("scopes", self.stats.scopes as u64)
+            .uint("dp_solves", self.stats.dp_solves as u64)
+            .uint("dp_reused", self.stats.dp_reused as u64)
             .uint("hatched", self.stats.lifecycle.hatched as u64)
             .uint("doves", self.stats.lifecycle.doves as u64)
             .uint("hawks", self.stats.lifecycle.hawks as u64)

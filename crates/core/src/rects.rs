@@ -75,13 +75,9 @@ pub fn true_fanouts(
         }
     }
     // Primary outputs driven by u.
-    if e.orefs[u.index()] > 0 {
-        for (oi, o) in e.g.outputs().iter().enumerate() {
-            if o.driver == u {
-                out.positions.push(output_pads[oi]);
-                out.caps.push(0.0);
-            }
-        }
+    for &oi in e.outputs_of(u) {
+        out.positions.push(output_pads[oi]);
+        out.caps.push(0.0);
     }
     out
 }
@@ -97,31 +93,6 @@ pub fn fanin_rect(u_pos: Point, fans: &TrueFanouts, gate_pos: Point) -> Rect {
     r
 }
 
-/// The fanout rectangle of candidate node `v`: the gate position plus
-/// the `placePositions` of `v`'s subject fanouts and the pads of any
-/// primary outputs it drives (paper: outputs of `gate(m)` are eggs, so
-/// `placePositions` are used directly).
-pub fn fanout_rect(
-    e: &Engine,
-    v: SubjectNodeId,
-    gate_pos: Point,
-    place: &[Point],
-    output_pads: &[Point],
-) -> Rect {
-    let mut r = Rect::at(gate_pos);
-    for &w in &e.fanouts[v.index()] {
-        r.expand_to(place[w.index()]);
-    }
-    if e.orefs[v.index()] > 0 {
-        for (oi, o) in e.g.outputs().iter().enumerate() {
-            if o.driver == v {
-                r.expand_to(output_pads[oi]);
-            }
-        }
-    }
-    r
-}
-
 /// The positions of the pins of the net that would connect `u` to its
 /// consumers plus the candidate gate — the input to the wire-length
 /// models of Section 3.4.
@@ -133,26 +104,19 @@ pub fn fanin_net_points(u_pos: Point, fans: &TrueFanouts, gate_pos: Point) -> Ve
     pts
 }
 
-/// Positions of `v`'s prospective output net (gate + fanouts + pads).
-pub fn fanout_net_points(
+/// The sink positions of `v`'s prospective output net: the
+/// `placePositions` of `v`'s subject fanouts, then the pads of the
+/// primary outputs it drives, in output order (paper: outputs of
+/// `gate(m)` are eggs, so `placePositions` are used directly). The same
+/// for every match at `v`, so the DP computes it once per solve.
+pub fn fanout_points(
     e: &Engine,
     v: SubjectNodeId,
-    gate_pos: Point,
     place: &[Point],
     output_pads: &[Point],
 ) -> Vec<Point> {
-    let mut pts = vec![gate_pos];
-    for &w in &e.fanouts[v.index()] {
-        pts.push(place[w.index()]);
-    }
-    if e.orefs[v.index()] > 0 {
-        for (oi, o) in e.g.outputs().iter().enumerate() {
-            if o.driver == v {
-                pts.push(output_pads[oi]);
-            }
-        }
-    }
-    pts
+    let fanouts = e.fanouts[v.index()].iter().map(|w| place[w.index()]);
+    fanouts.chain(e.outputs_of(v).iter().map(|&oi| output_pads[oi])).collect()
 }
 
 /// Count of base-function fanouts of `v` that are still unmapped
@@ -224,7 +188,7 @@ mod tests {
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
         // Commit the inverter cone by hand (chosen match 0 everywhere).
-        let scopes = e.scopes(crate::cover::Partition::Cones, None);
+        let scopes = e.scopes(crate::cover::Partition::Cones, false);
         let cone0 = &scopes[0];
         for &v in cone0.members() {
             if e.visit(v) {

@@ -104,35 +104,34 @@ pub fn maximal_trees(g: &SubjectGraph) -> Vec<Tree> {
 /// Builds the asymmetric exit-line matrix `E` of Section 3.5:
 /// `E[i][j]` is the number of edges from a node in cone `i` to a node
 /// outside cone `i` that belongs to cone `j`. Diagonal entries are zero.
+///
+/// Works from per-node cone-membership bitsets: an edge `u → v` adds one
+/// at every `(i, j)` with `i ∈ cones(u) ∖ cones(v)` and `j ∈ cones(v)`,
+/// so the cost is one word-wise difference per edge plus the entries
+/// actually incremented, not a scan of every cone per edge.
 pub fn exit_line_matrix(g: &SubjectGraph, cones: &[Cone]) -> Vec<Vec<usize>> {
-    let n = g.node_count();
-    // Membership bitsets: word-packed, one row per cone.
-    let words = n.div_ceil(64);
-    let mut member: Vec<Vec<u64>> = vec![vec![0u64; words]; cones.len()];
+    let words = cones.len().div_ceil(64);
+    // Bit `i` of node `v`'s row is set when cone `i` contains `v`.
+    // Primary inputs belong to no cone, so their edges never exit.
+    let mut member = vec![0u64; g.node_count() * words];
     for (ci, cone) in cones.iter().enumerate() {
         for &m in &cone.members {
-            member[ci][m.index() / 64] |= 1 << (m.index() % 64);
+            member[m.index() * words + ci / 64] |= 1 << (ci % 64);
         }
     }
-    let in_cone = |ci: usize, node: SubjectNodeId| {
-        member[ci][node.index() / 64] >> (node.index() % 64) & 1 == 1
-    };
+    let row = |v: SubjectNodeId| &member[v.index() * words..(v.index() + 1) * words];
 
     let mut e = vec![vec![0usize; cones.len()]; cones.len()];
+    let mut targets = Vec::new();
     for v in g.node_ids() {
+        let rv = row(v);
+        targets.clear();
+        targets.extend(set_bits(rv.iter().copied()));
         for u in g.kind(v).fanins() {
-            if matches!(g.kind(u), SubjectKind::Input(_)) {
-                continue;
-            }
-            // Edge u -> v: exit line of every cone containing u but not v,
-            // charged to every cone containing v.
-            for (i, ei) in e.iter_mut().enumerate() {
-                if in_cone(i, u) && !in_cone(i, v) {
-                    for (j, eij) in ei.iter_mut().enumerate() {
-                        if j != i && in_cone(j, v) {
-                            *eij += 1;
-                        }
-                    }
+            let exits = row(u).iter().zip(rv).map(|(&a, &b)| a & !b);
+            for i in set_bits(exits) {
+                for &j in &targets {
+                    e[i][j] += 1;
                 }
             }
         }
@@ -140,24 +139,42 @@ pub fn exit_line_matrix(g: &SubjectGraph, cones: &[Cone]) -> Vec<Vec<usize>> {
     e
 }
 
+/// Indices of the set bits of a word-packed bitset, ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
 /// The greedy cone ordering of Section 3.5: repeatedly select the row
-/// with minimum remaining row sum, emit it, and delete its row and
-/// column. Returns cone indices in mapping order.
+/// with minimum remaining row sum (ties to the lower index), emit it,
+/// and delete its row and column. Returns cone indices in mapping
+/// order.
+///
+/// Runs in O(C²): every row sum is kept up to date by subtracting the
+/// emitted cone's column instead of being recomputed per round.
 pub fn order_cones(e: &[Vec<usize>]) -> Vec<usize> {
     let n = e.len();
-    let mut remaining: Vec<usize> = (0..n).collect();
+    // row[i] = Σ e[i][j] over the cones j not yet emitted.
+    let mut row: Vec<usize> = e.iter().map(|r| r.iter().sum()).collect();
+    let mut emitted = vec![false; n];
     let mut order = Vec::with_capacity(n);
-    while !remaining.is_empty() {
-        let (pos, &best) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &i)| {
-                let row: usize = remaining.iter().map(|&j| e[i][j]).sum();
-                (row, i) // deterministic tie-break by index
-            })
-            .expect("non-empty");
+    for _ in 0..n {
+        let best = (0..n)
+            .filter(|&i| !emitted[i])
+            .min_by_key(|&i| (row[i], i))
+            .expect("a cone remains each round");
+        emitted[best] = true;
         order.push(best);
-        remaining.remove(pos);
+        for (r, ei) in row.iter_mut().zip(e) {
+            *r -= ei[best];
+        }
     }
     order
 }

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # Smoke-test the cut-enumeration mapper: run the cut-area flow over
-# misex1 at 1, 2, and 8 worker threads and assert
+# misex1, and over a 2000-node random DAG whose many overlapping output
+# cones drive the incremental covering DP through its reuse path, at 1,
+# 2, and 8 worker threads and assert
 #
 #   1. every lily-check pass is clean at every thread count,
 #   2. the metrics JSON is byte-identical across thread counts once the
@@ -24,14 +26,20 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
+bin="${1:-}"
+
+# run_check <threads> <metrics-json> <lily-check input args...>
 run_check() {
-    if [ "$#" -ge 3 ]; then
-        "$3" --circuit misex1 --flow cut-area --threads "$1" \
-            --metrics-json "$2" >/dev/null
+    threads="$1"
+    json="$2"
+    shift 2
+    if [ -n "$bin" ]; then
+        "$bin" "$@" --flow cut-area --threads "$threads" \
+            --metrics-json "$json" >/dev/null
     else
         cargo run --release --quiet --bin lily-check -- \
-            --circuit misex1 --flow cut-area --threads "$1" \
-            --metrics-json "$2" >/dev/null
+            "$@" --flow cut-area --threads "$threads" \
+            --metrics-json "$json" >/dev/null
     fi
 }
 
@@ -44,18 +52,28 @@ normalize() {
 }
 
 status=0
-for t in 1 2 8; do
-    echo "cut_smoke: cut-area flow at LILY_THREADS=$t"
-    run_check "$t" "$tmp/metrics_$t.json" "$@"
-    normalize "$tmp/metrics_$t.json" > "$tmp/metrics_$t.norm"
-done
-for t in 2 8; do
-    if ! diff -q "$tmp/metrics_1.norm" "$tmp/metrics_$t.norm" >/dev/null; then
-        echo "cut_smoke: metrics JSON diverges between 1 and $t threads" >&2
-        diff "$tmp/metrics_1.norm" "$tmp/metrics_$t.norm" >&2 || true
-        status=1
-    fi
-done
+
+# check_round <file prefix> <lily-check input args...>: one input at
+# 1/2/8 threads, metrics written to $tmp/<prefix>_<threads>.json.
+check_round() {
+    prefix="$1"
+    shift
+    for t in 1 2 8; do
+        echo "cut_smoke: cut-area flow on $* at LILY_THREADS=$t"
+        run_check "$t" "$tmp/${prefix}_$t.json" "$@"
+        normalize "$tmp/${prefix}_$t.json" > "$tmp/${prefix}_$t.norm"
+    done
+    for t in 2 8; do
+        if ! diff -q "$tmp/${prefix}_1.norm" "$tmp/${prefix}_$t.norm" >/dev/null; then
+            echo "cut_smoke: metrics JSON on $* diverges between 1 and $t threads" >&2
+            diff "$tmp/${prefix}_1.norm" "$tmp/${prefix}_$t.norm" >&2 || true
+            status=1
+        fi
+    done
+}
+
+check_round metrics --circuit misex1
+check_round dag_metrics --gen random-dag --gen-nodes 2000
 
 # Map-stage wall-time guard. The baseline is the misex1 lily-mapper map
 # stage recorded in the checked-in BENCH_flow.json; the single-thread
