@@ -294,10 +294,14 @@ impl<'l> CutMapper<'l> {
         output_pads: &[Point],
     ) -> Result<MapResult, MapError> {
         check_placement(g, place, output_pads)?;
-        let index = CutIndex::build(g, &self.config)?;
-        let idx = cut_matches(g, self.lib, &index)?;
+        // The cut sets are dead once matched: free them before the DP
+        // allocates its per-node state.
+        let (idx, cut_stats) = {
+            let index = CutIndex::build(g, &self.config)?;
+            (cut_matches(g, self.lib, &index)?, index.stats)
+        };
         let mut e = Engine::with_index(g, self.lib, idx);
-        e.set_cut_stats(index.stats);
+        e.set_cut_stats(cut_stats);
         run_placed_dp(e, &self.options, place, output_pads)
     }
 }

@@ -37,6 +37,11 @@ impl Arrival {
         self.rise.max(self.fall)
     }
 
+    /// The raw bit patterns of both edges, for bit-exact comparison.
+    pub fn to_bits(self) -> (u64, u64) {
+        (self.rise.to_bits(), self.fall.to_bits())
+    }
+
     /// Adds a constant to both edges.
     #[must_use]
     pub fn offset(self, dt: f64) -> Arrival {
