@@ -16,12 +16,14 @@ use crate::stage::{FlowContext, MapImage, Mapper, Stage, StageArtifact};
 use lily_cells::{Library, MappedNetwork, SignalSource};
 use lily_netlist::decompose::decompose;
 use lily_netlist::{Network, SubjectGraph};
+use lily_par::ParOptions;
 use lily_place::anneal::{try_anneal_cancel, AnnealOptions};
 use lily_place::global::{try_global_place_cancel, GlobalOptions};
 use lily_place::legalize::{improve, legalize, LegalizeOptions, Legalized};
 use lily_place::multilevel::{try_multilevel_place_cancel, MultilevelOptions};
 use lily_place::{assign_pads, PinRef, PlacementProblem, Point, Rect, SubjectPlacement};
-use lily_route::{rsmt_length, CongestionGrid};
+use lily_route::congestion::{deposit_rows, STRIPE_ROWS};
+use lily_route::{rsmt_length_with, BinBox, CongestionGrid, RsmtScratch};
 use lily_timing::load::WireLoad;
 use lily_timing::sta::{try_analyze, StaOptions, StaResult};
 
@@ -747,20 +749,20 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
         let core = placed.core;
 
         // Routed wire length: Steiner per net, inflated by congestion.
-        let nets = mapped.nets();
+        // Every step below is exact at any thread count: nets map
+        // independently, each deposit stripe adds its nets in net
+        // order, and the routed lengths are summed in net order.
+        let par = ParOptions::current();
+        let points: Vec<Vec<Point>> =
+            mapped.nets().iter().map(|n| lily_timing::load::net_points(mapped, n)).collect();
         let mut grid =
             CongestionGrid::for_core(core, tech.row_height, options.physical.route_supply);
-        let per_net: Vec<(Vec<Point>, f64)> = nets
-            .iter()
-            .map(|n| {
-                let pts = lily_timing::load::net_points(mapped, n);
-                let len = rsmt_length(&pts);
-                (pts, len)
-            })
-            .collect();
-        for (pts, len) in &per_net {
-            grid.deposit(pts, *len);
-        }
+        // Each net's congestion-bin box and Steiner length.
+        let sized: Vec<(Option<BinBox>, f64)> =
+            lily_par::par_map_init(&par, &points, RsmtScratch::default, |scratch, pts| {
+                (grid.bin_box(pts), rsmt_length_with(pts, scratch))
+            });
+        deposit_striped(&par, &mut grid, &points, &sized);
         let wire_length: f64 = if options.physical.global_router {
             // L-shape pattern routing over bin-edge capacities;
             // overflow inflates each net's length through the same
@@ -770,17 +772,18 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
             let cap =
                 options.physical.route_supply * tech.row_height * tech.row_height / tech.wire_pitch;
             let mut router = lily_route::GlobalRouteGrid::new(core, nx, ny, cap, cap);
-            let net_pts: Vec<Vec<Point>> = per_net.iter().map(|(pts, _)| pts.clone()).collect();
-            let summary = router.route_all(&net_pts);
+            let summary = router.route_all(&points);
             summary.wirelength
                 * (1.0
                     + options.physical.detour_gain * summary.overflow
                         / (summary.connections.max(1) as f64))
         } else {
-            per_net
-                .iter()
-                .map(|(pts, len)| grid.routed_length(pts, *len, options.physical.detour_gain))
-                .sum()
+            let table = grid.overflow_table();
+            let gain = options.physical.detour_gain;
+            let routed = lily_par::par_map(&par, &sized, |&(bbox, len)| {
+                table.routed_length(bbox, len, gain)
+            });
+            routed.iter().sum()
         };
 
         let instance_area = mapped.instance_area(lib);
@@ -789,18 +792,39 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
         let n_rows = ((core.height() / tech.row_height).floor() as usize).max(1);
         let row_ys: Vec<f64> =
             (0..n_rows).map(|r| core.lly + (r as f64 + 0.5) * tech.row_height).collect();
-        let net_points: Vec<Vec<Point>> = per_net.iter().map(|(pts, _)| pts.clone()).collect();
         let chip_area_channeled = instance_area
-            + lily_route::channel_routing_area(&row_ys, &net_points, core.width(), tech.wire_pitch);
+            + lily_route::channel_routing_area(&row_ys, &points, core.width(), tech.wire_pitch);
         Ok(RouteFigures {
             wire_length,
             instance_area,
             chip_area,
             chip_area_channeled,
             peak_congestion: grid.peak_utilization(),
-            nets: per_net.len(),
+            nets: points.len(),
         })
     }
+}
+
+/// Deposits each net with two or more pins into `grid`, spreading its
+/// Steiner length over its bin box. Stripes of [`STRIPE_ROWS`] bin rows
+/// run in parallel; each adds the nets in net order, so every bin's sum
+/// is the one sequential [`CongestionGrid::deposit`] calls would give.
+fn deposit_striped(
+    par: &ParOptions,
+    grid: &mut CongestionGrid,
+    points: &[Vec<Point>],
+    sized: &[(Option<BinBox>, f64)],
+) {
+    let deposits: Vec<(BinBox, f64)> = points
+        .iter()
+        .zip(sized)
+        .filter(|(pts, _)| pts.len() >= 2)
+        .filter_map(|(_, &(bbox, len))| bbox.map(|b| (b, b.share(len))))
+        .collect();
+    let (nx, demand) = grid.rows_mut();
+    lily_par::par_chunks_mut(par, demand, STRIPE_ROWS * nx, |offset, rows| {
+        deposit_rows(nx, offset / nx, rows, &deposits);
+    });
 }
 
 // ---------------------------------------------------------------------

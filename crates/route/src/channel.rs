@@ -16,6 +16,12 @@ use lily_place::{Point, Rect};
 ///
 /// Each net contributes its horizontal interval to every channel its
 /// vertical extent crosses (its vertical wires must pass through).
+/// One sweep serves all channels: every net emits an open and a close
+/// event tagged with its channel span, the events are sorted once by
+/// `(x, delta)`, and each event updates the running and peak density of
+/// the channels it spans. Restricted to one channel the global order is
+/// still a valid `(x, delta)` order, and equal keys carry equal deltas,
+/// so each density is exactly that of a per-channel sweep.
 ///
 /// # Panics
 ///
@@ -23,12 +29,11 @@ use lily_place::{Point, Rect};
 pub fn channel_densities(row_ys: &[f64], nets: &[Vec<Point>]) -> Vec<usize> {
     assert!(!row_ys.is_empty(), "need at least one row");
     assert!(row_ys.windows(2).all(|w| w[0] <= w[1]), "row centers must be sorted");
-    let channels = row_ys.len() + 1;
     // Channel index of a y coordinate: number of row centers below it.
-    let channel_of = |y: f64| -> usize { row_ys.iter().filter(|&&ry| ry < y).count() };
+    let channel_of = |y: f64| -> usize { row_ys.partition_point(|&ry| ry < y) };
 
-    // Sweep-line events per channel.
-    let mut events: Vec<Vec<(f64, i32)>> = vec![Vec::new(); channels];
+    // Sweep-line events `(x, delta, lo, hi)` over channels `lo..=hi`.
+    let mut events: Vec<(f64, i32, usize, usize)> = Vec::with_capacity(2 * nets.len());
     for pins in nets {
         let Some(bbox) = Rect::bounding(pins.iter().copied()) else {
             continue;
@@ -37,30 +42,26 @@ pub fn channel_densities(row_ys: &[f64], nets: &[Vec<Point>]) -> Vec<usize> {
             continue;
         }
         let lo = channel_of(bbox.lly);
-        let hi = channel_of(bbox.ury);
         // A net fully inside one row's band still needs one channel.
-        for ev in &mut events[lo..=hi.max(lo)] {
-            ev.push((bbox.llx, 1));
-            ev.push((bbox.urx, -1));
+        let hi = channel_of(bbox.ury).max(lo);
+        events.push((bbox.llx, 1, lo, hi));
+        events.push((bbox.urx, -1, lo, hi));
+    }
+    // Close intervals before opening at the same x (half-open).
+    events.sort_unstable_by(|a, b| {
+        a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+    });
+
+    let channels = row_ys.len() + 1;
+    let mut cur = vec![0i32; channels];
+    let mut max = vec![0i32; channels];
+    for (_, d, lo, hi) in events {
+        for (c, m) in cur[lo..=hi].iter_mut().zip(&mut max[lo..=hi]) {
+            *c += d;
+            *m = (*m).max(*c);
         }
     }
-
-    events
-        .into_iter()
-        .map(|mut ev| {
-            // Close intervals before opening at the same x (half-open).
-            ev.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-            });
-            let mut cur = 0i32;
-            let mut max = 0i32;
-            for (_, d) in ev {
-                cur += d;
-                max = max.max(cur);
-            }
-            max as usize
-        })
-        .collect()
+    max.into_iter().map(|m| m as usize).collect()
 }
 
 /// Total routing area under the channel model: the sum of channel

@@ -6,8 +6,101 @@
 //! the bins its bounding box covers, computes per-bin overflow against
 //! a uniform capacity, and converts the overflow a net sees into a
 //! detour factor on its Steiner length.
+//!
+//! Besides the one-net-at-a-time [`CongestionGrid::deposit`] and
+//! [`CongestionGrid::routed_length`], the grid exposes the sequential
+//! pieces of a bit-exact parallel estimate: each net's [`BinBox`],
+//! a deposit over one horizontal stripe of [`STRIPE_ROWS`] bin rows
+//! ([`deposit_rows`]), and a per-bin [`OverflowTable`]. A stripe walks
+//! every net in net order, so each bin receives the same additions in
+//! the same order however the stripes are spread over threads.
 
 use lily_place::{Point, Rect};
+
+/// Bin rows per deposit stripe: the grain of the parallel deposit. Any
+/// split into whole rows gives the same sums, because every stripe adds
+/// its nets in net order; the height is a constant so the split never
+/// depends on the thread count either.
+pub const STRIPE_ROWS: usize = 16;
+
+/// The inclusive range of bins a net's bounding box covers, columns
+/// `x0..=x1` by rows `y0..=y1` of the grid that made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BinBox {
+    x0: usize,
+    y0: usize,
+    x1: usize,
+    y1: usize,
+}
+
+impl BinBox {
+    /// The demand each covered bin receives when `wire_length` is
+    /// spread uniformly over the box.
+    pub fn share(&self, wire_length: f64) -> f64 {
+        let bins = ((self.x1 - self.x0 + 1) * (self.y1 - self.y0 + 1)) as f64;
+        wire_length / bins
+    }
+
+    /// Mean of `value(bin index)` over the box on a grid `nx` bins
+    /// wide, summed in row-major order; 0 for an empty box.
+    fn mean(&self, nx: usize, value: impl Fn(usize) -> f64) -> f64 {
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for y in self.y0..=self.y1 {
+            for x in self.x0..=self.x1 {
+                total += value(y * nx + x);
+                count += 1;
+            }
+        }
+        if count == 0 {
+            0.0
+        } else {
+            total / count as f64
+        }
+    }
+}
+
+/// Adds each `(box, share)` deposit, in order, to the bins of `rows` —
+/// whole bin rows `row0..` of a grid `nx` bins wide — that its box
+/// covers.
+pub fn deposit_rows(nx: usize, row0: usize, rows: &mut [f64], deposits: &[(BinBox, f64)]) {
+    let row_end = row0 + rows.len() / nx;
+    for &(b, share) in deposits {
+        for y in b.y0.max(row0)..=b.y1.min(row_end.saturating_sub(1)) {
+            let base = (y - row0) * nx;
+            for bin in &mut rows[base + b.x0..=base + b.x1] {
+                *bin += share;
+            }
+        }
+    }
+}
+
+/// Per-bin overflow ratios (`demand / capacity − 1`, clamped at 0) of
+/// a [`CongestionGrid`], computed once for many routed-length queries.
+#[derive(Debug, Clone)]
+pub struct OverflowTable {
+    nx: usize,
+    ratio: Vec<f64>,
+}
+
+impl OverflowTable {
+    /// [`CongestionGrid::routed_length`] of a net with bin box `bbox`
+    /// (`None` for a pinless net), bit-identical to the grid's own.
+    pub fn routed_length(
+        &self,
+        bbox: Option<BinBox>,
+        steiner_length: f64,
+        detour_gain: f64,
+    ) -> f64 {
+        let overflow = bbox.map_or(0.0, |b| b.mean(self.nx, |i| self.ratio[i]));
+        steiner_length * (1.0 + detour_gain * overflow)
+    }
+}
+
+/// A bin's overflow ratio.
+fn overflow_ratio(demand: f64, capacity: f64) -> f64 {
+    (demand / capacity - 1.0).max(0.0)
+}
 
 /// A uniform grid accumulating routing demand.
 #[derive(Debug, Clone)]
@@ -47,57 +140,50 @@ impl CongestionGrid {
         ((fx * self.nx as f64) as usize, (fy * self.ny as f64) as usize)
     }
 
-    fn bins_of_bbox(&self, pins: &[Point]) -> Option<(usize, usize, usize, usize)> {
+    /// The bins covered by the bounding box of `pins`; `None` for no
+    /// pins.
+    pub fn bin_box(&self, pins: &[Point]) -> Option<BinBox> {
         let r = Rect::bounding(pins.iter().copied())?;
         let (x0, y0) = self.bin_of(Point::new(r.llx, r.lly));
         let (x1, y1) = self.bin_of(Point::new(r.urx, r.ury));
-        Some((x0, y0, x1, y1))
+        Some(BinBox { x0, y0, x1, y1 })
     }
 
     /// Deposits `wire_length` of demand uniformly over the bins covered
     /// by the net's bounding box. Nets with < 2 pins deposit nothing.
     pub fn deposit(&mut self, pins: &[Point], wire_length: f64) {
-        let Some((x0, y0, x1, y1)) = self.bins_of_bbox(pins) else {
+        let Some(b) = self.bin_box(pins) else {
             return;
         };
         if pins.len() < 2 {
             return;
         }
-        let bins = ((x1 - x0 + 1) * (y1 - y0 + 1)) as f64;
-        let share = wire_length / bins;
-        for y in y0..=y1 {
-            for x in x0..=x1 {
-                self.demand[y * self.nx + x] += share;
-            }
-        }
+        deposit_rows(self.nx, 0, &mut self.demand, &[(b, b.share(wire_length))]);
+    }
+
+    /// The grid width in bins and its demand, row-major, for
+    /// [`deposit_rows`] over stripes of [`STRIPE_ROWS`] rows.
+    pub fn rows_mut(&mut self) -> (usize, &mut [f64]) {
+        (self.nx, &mut self.demand)
     }
 
     /// Mean overflow ratio (`demand / capacity − 1`, clamped at 0) over
     /// the bins covered by the net's bounding box.
     pub fn overflow(&self, pins: &[Point]) -> f64 {
-        let Some((x0, y0, x1, y1)) = self.bins_of_bbox(pins) else {
-            return 0.0;
-        };
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for y in y0..=y1 {
-            for x in x0..=x1 {
-                let d = self.demand[y * self.nx + x];
-                total += (d / self.capacity - 1.0).max(0.0);
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
+        self.bin_box(pins)
+            .map_or(0.0, |b| b.mean(self.nx, |i| overflow_ratio(self.demand[i], self.capacity)))
     }
 
     /// Routed length model: the Steiner estimate inflated by the detour
     /// factor `1 + detour_gain · overflow`.
     pub fn routed_length(&self, pins: &[Point], steiner_length: f64, detour_gain: f64) -> f64 {
         steiner_length * (1.0 + detour_gain * self.overflow(pins))
+    }
+
+    /// The per-bin overflow ratios of the current demand.
+    pub fn overflow_table(&self) -> OverflowTable {
+        let ratio = self.demand.iter().map(|&d| overflow_ratio(d, self.capacity)).collect();
+        OverflowTable { nx: self.nx, ratio }
     }
 
     /// Peak bin utilization (`demand / capacity`), a congestion summary

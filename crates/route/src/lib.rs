@@ -29,10 +29,10 @@ pub mod rst;
 pub mod steiner_factor;
 
 pub use channel::{channel_densities, channel_routing_area};
-pub use congestion::CongestionGrid;
+pub use congestion::{BinBox, CongestionGrid};
 pub use estimate::{net_length, WireModel};
 pub use groute::{GlobalRouteGrid, RouteSummary};
 pub use hpwl::{half_perimeter, net_extents};
-pub use rsmt::rsmt_length;
+pub use rsmt::{rsmt_length, rsmt_length_with, RsmtScratch};
 pub use rst::rst_length;
 pub use steiner_factor::chung_hwang_factor;

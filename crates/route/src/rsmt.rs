@@ -7,49 +7,56 @@
 //! grid point that most reduces the spanning-tree length, and is within
 //! a few percent of optimal on real nets.
 
-use crate::rst::rst_length;
+use crate::rst::{rst_length_with, PrimScratch};
 use lily_place::Point;
+
+/// Nets above this many pins skip the 1-Steiner phase: the quadratic
+/// candidate scan gets expensive, and large nets are rare.
+const MAX_EXACT_PINS: usize = 24;
 
 /// Length of a heuristic rectilinear Steiner minimal tree over `pins`.
 ///
-/// Uses iterated 1-Steiner on the Hanan grid for nets up to
-/// `max_exact_pins` (default path: 24) pins, falling back to the plain
-/// spanning tree beyond that (the quadratic candidate scan gets
-/// expensive, and large nets are rare).
+/// Uses iterated 1-Steiner on the Hanan grid for nets up to 24 pins,
+/// falling back to the plain spanning tree beyond that.
 pub fn rsmt_length(pins: &[Point]) -> f64 {
-    rsmt_length_capped(pins, 24)
+    rsmt_length_with(pins, &mut RsmtScratch::default())
 }
 
-/// [`rsmt_length`] with an explicit pin-count cap for the 1-Steiner
-/// phase.
-pub fn rsmt_length_capped(pins: &[Point], max_exact_pins: usize) -> f64 {
-    if pins.len() < 3 {
-        return rst_length(pins);
+/// Reusable buffers for [`rsmt_length_with`]: the tree's nodes, the
+/// Hanan grid coordinates, and the spanning-tree scratch.
+#[derive(Debug, Clone, Default)]
+pub struct RsmtScratch {
+    nodes: Vec<Point>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    prim: PrimScratch,
+}
+
+/// [`rsmt_length`] over caller-owned buffers: allocation-free once the
+/// buffers have grown to the largest net seen.
+pub fn rsmt_length_with(pins: &[Point], scratch: &mut RsmtScratch) -> f64 {
+    let RsmtScratch { nodes, xs, ys, prim } = scratch;
+    if pins.len() < 3 || pins.len() > MAX_EXACT_PINS {
+        return rst_length_with(pins, prim);
     }
-    if pins.len() > max_exact_pins {
-        return rst_length(pins);
-    }
-    let mut nodes: Vec<Point> = pins.to_vec();
-    let mut best = rst_length(&nodes);
+    nodes.clear();
+    nodes.extend_from_slice(pins);
+    let mut best = rst_length_with(nodes, prim);
     // Iterate until no Hanan candidate helps. Each round adds at most
     // one Steiner point; nets are small, so this terminates quickly.
     loop {
         let (mut gain, mut pick) = (1e-9, None);
         // Hanan grid of the *original* pins plus added Steiner points.
-        let mut xs: Vec<f64> = nodes.iter().map(|p| p.x).collect();
-        let mut ys: Vec<f64> = nodes.iter().map(|p| p.y).collect();
-        xs.sort_by(|a, b| a.total_cmp(b));
-        xs.dedup();
-        ys.sort_by(|a, b| a.total_cmp(b));
-        ys.dedup();
-        for &x in &xs {
-            for &y in &ys {
+        hanan_axis(xs, nodes.iter().map(|p| p.x));
+        hanan_axis(ys, nodes.iter().map(|p| p.y));
+        for &x in xs.iter() {
+            for &y in ys.iter() {
                 let cand = Point::new(x, y);
                 if nodes.iter().any(|p| p.manhattan(cand) == 0.0) {
                     continue;
                 }
                 nodes.push(cand);
-                let len = prunable_rst(&nodes);
+                let len = rst_length_with(nodes, prim);
                 nodes.pop();
                 if best - len > gain {
                     gain = best - len;
@@ -68,17 +75,20 @@ pub fn rsmt_length_capped(pins: &[Point], max_exact_pins: usize) -> f64 {
     best
 }
 
-/// Spanning-tree length where degree-1 Steiner points (indices beyond
-/// the original pins) contribute nothing: approximated by plain RST —
-/// adding a useless Steiner point never reduces RST length, so the
-/// 1-Steiner loop naturally ignores them.
-fn prunable_rst(nodes: &[Point]) -> f64 {
-    rst_length(nodes)
+/// Fills `axis` with the sorted, deduplicated `coords`.
+fn hanan_axis(axis: &mut Vec<f64>, coords: impl Iterator<Item = f64>) {
+    axis.clear();
+    axis.extend(coords);
+    // Equal keys under `total_cmp` are bit-identical, so an unstable
+    // sort yields the same sequence a stable one would.
+    axis.sort_unstable_by(f64::total_cmp);
+    axis.dedup();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rst::rst_length;
 
     #[test]
     fn small_nets_match_rst() {

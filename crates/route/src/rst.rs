@@ -4,53 +4,101 @@
 //! rectilinear spanning tree connecting all pins on a given net"*. Nets
 //! in this code base have at most a few hundred pins, so Prim's O(n²)
 //! algorithm with dense distance evaluation is the right tool.
+//!
+//! The iterated 1-Steiner heuristic in [`crate::rsmt`] scores every
+//! Hanan candidate with this plain spanning-tree length over the pins
+//! plus the Steiner points added so far. Steiner points are never
+//! pruned: one whose tree degree later drops to 1 or 2 keeps its edges
+//! in the total.
 
 use lily_place::Point;
 
 /// Length of the rectilinear minimum spanning tree over `pins`.
 /// Zero for fewer than two pins.
 pub fn rst_length(pins: &[Point]) -> f64 {
-    rst_edges(pins).iter().map(|&(a, b)| pins[a].manhattan(pins[b])).sum()
+    rst_length_with(pins, &mut PrimScratch::default())
+}
+
+/// Reusable buffers for [`rst_length_with`]: Prim's state and the
+/// tree's edge lengths in pick order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PrimScratch {
+    prim: Prim,
+    edge_len: Vec<f64>,
+}
+
+/// [`rst_length`] over caller-owned buffers.
+///
+/// Sums the edge lengths in pick order, the order [`rst_edges`] lists
+/// the edges, so the result is bit-identical to summing over
+/// [`rst_edges`]. A picked vertex's best distance *is* its edge length:
+/// both are `pins[parent].manhattan(pins[child])`.
+pub(crate) fn rst_length_with(pins: &[Point], scratch: &mut PrimScratch) -> f64 {
+    let PrimScratch { prim, edge_len } = scratch;
+    edge_len.clear();
+    prim.run(pins, |_, _, d| edge_len.push(d));
+    edge_len.iter().sum()
 }
 
 /// The edge list `(parent, child)` of a rectilinear MST over `pins`
 /// (Prim's algorithm from pin 0). Empty for fewer than two pins.
 pub fn rst_edges(pins: &[Point]) -> Vec<(usize, usize)> {
-    let n = pins.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let mut in_tree = vec![false; n];
-    let mut best_dist = vec![f64::INFINITY; n];
-    let mut best_parent = vec![0usize; n];
-    in_tree[0] = true;
-    for j in 1..n {
-        best_dist[j] = pins[0].manhattan(pins[j]);
-    }
-    let mut edges = Vec::with_capacity(n - 1);
-    for _ in 1..n {
-        let mut pick = usize::MAX;
-        let mut pick_d = f64::INFINITY;
-        for j in 0..n {
-            if !in_tree[j] && best_dist[j] < pick_d {
-                pick = j;
-                pick_d = best_dist[j];
-            }
+    let mut edges = Vec::with_capacity(pins.len().saturating_sub(1));
+    Prim::default().run(pins, |parent, child, _| edges.push((parent, child)));
+    edges
+}
+
+/// Prim's algorithm over dense Manhattan distances, with its buffers.
+#[derive(Debug, Clone, Default)]
+struct Prim {
+    in_tree: Vec<bool>,
+    best_dist: Vec<f64>,
+    best_parent: Vec<usize>,
+}
+
+impl Prim {
+    /// Grows the MST from pin 0, calling `edge(parent, child, length)`
+    /// for each tree edge in pick order. No edges for fewer than two
+    /// pins.
+    fn run(&mut self, pins: &[Point], mut edge: impl FnMut(usize, usize, f64)) {
+        let n = pins.len();
+        if n < 2 {
+            return;
         }
-        debug_assert_ne!(pick, usize::MAX);
-        in_tree[pick] = true;
-        edges.push((best_parent[pick], pick));
-        for j in 0..n {
-            if !in_tree[j] {
-                let d = pins[pick].manhattan(pins[j]);
-                if d < best_dist[j] {
-                    best_dist[j] = d;
-                    best_parent[j] = pick;
+        let Prim { in_tree, best_dist, best_parent } = self;
+        in_tree.clear();
+        in_tree.resize(n, false);
+        best_dist.clear();
+        best_dist.resize(n, f64::INFINITY);
+        best_parent.clear();
+        best_parent.resize(n, 0);
+        in_tree[0] = true;
+        for j in 1..n {
+            best_dist[j] = pins[0].manhattan(pins[j]);
+        }
+        for _ in 1..n {
+            let mut pick = usize::MAX;
+            let mut pick_d = f64::INFINITY;
+            for j in 0..n {
+                if !in_tree[j] && best_dist[j] < pick_d {
+                    pick = j;
+                    pick_d = best_dist[j];
+                }
+            }
+            debug_assert_ne!(pick, usize::MAX);
+            in_tree[pick] = true;
+            edge(best_parent[pick], pick, pick_d);
+            for j in 0..n {
+                if !in_tree[j] {
+                    let d = pins[pick].manhattan(pins[j]);
+                    if d < best_dist[j] {
+                        best_dist[j] = d;
+                        best_parent[j] = pick;
+                    }
                 }
             }
         }
     }
-    edges
 }
 
 #[cfg(test)]

@@ -8,7 +8,10 @@
 #      hierarchy check (PL005/PL006) — is clean at every thread count,
 #   2. the metrics JSON is byte-identical across thread counts once the
 #      fields parallelism may change (wall times, speedups, thread
-#      count) are normalized away — the determinism contract at scale,
+#      count) are normalized away — the determinism contract at scale —
+#      with the route figures (chip_area_channeled_um2, peak_congestion)
+#      present and non-zero, so the comparison covers the route
+#      estimate's deposit stripes and parallel maps,
 #   3. each run finishes inside a wall-clock budget (default 1800 s) —
 #      the "a 100k-class flow must not quietly become quadratic" guard
 #      at CI-affordable size.
@@ -72,6 +75,15 @@ for t in 1 2 8; do
         status=1
     fi
     normalize "$tmp/metrics_$t.json" > "$tmp/metrics_$t.norm"
+done
+# The route figures must be in the comparison: a missing or zero value
+# in the 1-thread JSON means the writer or the normalizer dropped them.
+for field in chip_area_channeled_um2 peak_congestion; do
+    value="$(sed -n "s/.*\"$field\":\([^,}]*\).*/\1/p" "$tmp/metrics_1.json")"
+    if ! awk -v v="$value" 'BEGIN { exit !(v + 0 != 0) }'; then
+        echo "scale_smoke: 1-thread metrics JSON has no non-zero $field (got '$value')" >&2
+        status=1
+    fi
 done
 for t in 2 8; do
     if ! diff -q "$tmp/metrics_1.norm" "$tmp/metrics_$t.norm" >/dev/null; then
