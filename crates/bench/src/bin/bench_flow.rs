@@ -58,9 +58,11 @@ fn scratch_allocations(g: &SubjectGraph, lib: &Library) -> (u64, u64) {
 }
 
 /// Sequential cut enumeration with one reused [`CutScratch`]: returns
-/// the whole-graph cut statistics plus the pool's
-/// (acquisitions, fresh allocations) counters — the cut-side analogue
-/// of [`scratch_allocations`].
+/// the whole-graph cut statistics plus the scratch's
+/// (candidate-buffer acquisitions, fresh growth allocations) counters —
+/// the cut-side analogue of [`scratch_allocations`]. They land in
+/// `BENCH_flow.json` as `cuts.scratch_acquisitions` and
+/// `cuts.scratch_allocations`.
 fn cut_statistics(g: &SubjectGraph, config: &CutConfig) -> (CutStats, u64, u64) {
     let mut scratch = CutScratch::new();
     let mut sets: Vec<CutSet> = Vec::with_capacity(g.node_count());

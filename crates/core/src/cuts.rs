@@ -103,7 +103,8 @@ impl CutIndex {
 
 /// Restricts a cut function to its true support: leaves the table does
 /// not depend on are dropped from the variable list (the cone still
-/// covers the same nodes; the gate simply never taps that leaf).
+/// covers the same nodes; the gate simply never taps that leaf). The
+/// support test and the restriction are both bit-parallel.
 fn reduce_support(leaves: &[SubjectNodeId], table: TruthTable) -> (Vec<SubjectNodeId>, TruthTable) {
     let n = table.inputs();
     let support: Vec<usize> = (0..n).filter(|&i| table.depends_on(i)).collect();
@@ -111,15 +112,7 @@ fn reduce_support(leaves: &[SubjectNodeId], table: TruthTable) -> (Vec<SubjectNo
         return (leaves.to_vec(), table);
     }
     let kept: Vec<SubjectNodeId> = support.iter().map(|&i| leaves[i]).collect();
-    let bits = table.bits();
-    let reduced = TruthTable::from_fn(support.len(), |r| {
-        let mut full = 0u64;
-        for (bit, &i) in support.iter().enumerate() {
-            full |= ((r >> bit) & 1) << i;
-        }
-        (bits >> full) & 1 == 1
-    });
-    (kept, reduced)
+    (kept, table.shrink(&support))
 }
 
 /// Converts the matchable cuts of `v` into [`Match`]es via the
@@ -517,5 +510,62 @@ mod tests {
         assert_eq!(kept, vec![leaves[1]]);
         assert_eq!(reduced.inputs(), 1);
         assert_eq!(reduced.bits(), 0b01);
+    }
+
+    /// The row-loop restriction `reduce_support` used before the
+    /// bit-parallel kernels, kept as the oracle.
+    fn reduce_support_rows(
+        leaves: &[SubjectNodeId],
+        table: TruthTable,
+    ) -> (Vec<SubjectNodeId>, TruthTable) {
+        let n = table.inputs();
+        let stride_differs = |i: usize| {
+            (0..1u64 << n)
+                .filter(|row| row & (1 << i) == 0)
+                .any(|row| (table.bits() >> row) & 1 != (table.bits() >> (row | 1 << i)) & 1)
+        };
+        let support: Vec<usize> = (0..n).filter(|&i| stride_differs(i)).collect();
+        let kept: Vec<SubjectNodeId> = support.iter().map(|&i| leaves[i]).collect();
+        let reduced = TruthTable::from_fn(support.len(), |r| {
+            let mut full = 0u64;
+            for (bit, &i) in support.iter().enumerate() {
+                full |= ((r >> bit) & 1) << i;
+            }
+            (table.bits() >> full) & 1 == 1
+        });
+        (kept, reduced)
+    }
+
+    #[test]
+    fn support_reduction_matches_row_loop() {
+        let leaves: Vec<SubjectNodeId> =
+            (0..6).map(|i| lily_netlist::SubjectNodeId::from_index(10 + 3 * i)).collect();
+        let check = |t: TruthTable| {
+            let l = &leaves[..t.inputs()];
+            assert_eq!(reduce_support(l, t), reduce_support_rows(l, t), "{t}");
+        };
+        // Every 1- to 4-input table.
+        for n in 1..=4usize {
+            for bits in 0..1u64 << (1 << n) {
+                check(TruthTable::new(n, bits).unwrap());
+            }
+        }
+        // Seeded 5- and 6-input tables, half of them with dead inputs.
+        let mut x = 0x0123_4567_89ab_cdefu64;
+        for round in 0..20_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let n = 5 + (round % 2) as usize;
+            let mut bits = x;
+            for v in 0..n {
+                if (x >> (40 + v)) & 3 == 0 {
+                    // Copy the v = 0 half onto the v = 1 half: v is dead.
+                    let clear: u64 = (0..64u64).filter(|r| r >> v & 1 == 0).map(|r| 1 << r).sum();
+                    bits = (bits & clear) | ((bits & clear) << (1u32 << v));
+                }
+            }
+            check(TruthTable::new(n, bits).unwrap());
+        }
     }
 }

@@ -190,14 +190,137 @@ impl CutStats {
     }
 }
 
-/// Reusable buffers for [`enumerate_node`]: candidate storage, leaf
-/// pools and permutation maps survive across nodes so the steady state
-/// allocates nothing. Mirrors `MatchScratch` in the structural matcher.
+/// One merge candidate: a leaf set of at most [`MAX_TT_INPUTS`] ids, its
+/// 64-bit leaf signature, and the fanin cuts it was merged from. It is
+/// `Copy` and carries no table: the table is derived from `from` only if
+/// the candidate is stored (or logged as dominated).
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// Leaf ids, ascending; slots past `len` stay 0, so comparing the
+    /// whole array after `len` orders like comparing the leaf slices.
+    leaves: [u32; MAX_TT_INPUTS],
+    len: usize,
+    /// `OR` of `1 << (id & 63)` over the leaves.
+    sig: u64,
+    /// Indices into the fanin cut sets: `[a-cut, b-cut]` for a NAND2,
+    /// `[a-cut, 0]` for an inverter.
+    from: [u32; 2],
+}
+
+impl Candidate {
+    fn of(leaves: &[SubjectNodeId], from: [u32; 2]) -> Self {
+        let mut c = Self { leaves: [0; MAX_TT_INPUTS], len: 0, sig: 0, from };
+        for (slot, l) in c.leaves.iter_mut().zip(leaves) {
+            *slot = l.0;
+            c.sig |= 1 << (l.0 & 63);
+            c.len += 1;
+        }
+        c
+    }
+
+    fn leaves(&self) -> &[u32] {
+        &self.leaves[..self.len]
+    }
+
+    /// The sort key: `(leaf count, leaves)`, then the fanin pair, which
+    /// is generation order — so an unstable sort orders exactly like a
+    /// stable sort on `(leaf count, leaves)`. Packed into wide integers,
+    /// a comparison is a few branch-free word compares.
+    fn key(&self) -> (u128, u128, u64) {
+        let word = |hi: u32, lo: u32| (u64::from(hi) << 32) | u64::from(lo);
+        let wide = |hi: u64, lo: u64| (u128::from(hi) << 64) | u128::from(lo);
+        let l = &self.leaves;
+        (
+            wide(word(self.len as u32, l[0]), word(l[1], l[2])),
+            wide(word(l[3], l[4]), word(l[5], 0)),
+            word(self.from[0], self.from[1]),
+        )
+    }
+
+    fn same_leaves(&self, other: &Self) -> bool {
+        self.len == other.len && self.leaves == other.leaves
+    }
+
+    /// The sorted leaf union of two fanin cuts, or `None` past `k`
+    /// leaves.
+    fn merge(&self, other: &Self, k: usize, from: [u32; 2]) -> Option<Self> {
+        let (la, lb) = (self.leaves(), other.leaves());
+        // Branch-free while both sides last: emit the smaller head and
+        // advance every side that held it.
+        let mut union = [0u32; 2 * MAX_TT_INPUTS];
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        while i < la.len() && j < lb.len() {
+            let (x, y) = (la[i], lb[j]);
+            union[n] = x.min(y);
+            n += 1;
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+        let tail = if i < la.len() { &la[i..] } else { &lb[j..] };
+        if n + tail.len() > k {
+            return None;
+        }
+        let mut out = Self {
+            leaves: [0; MAX_TT_INPUTS],
+            len: n + tail.len(),
+            sig: self.sig | other.sig,
+            from,
+        };
+        out.leaves[..n].copy_from_slice(&union[..n]);
+        out.leaves[n..out.len].copy_from_slice(tail);
+        Some(out)
+    }
+
+    /// Whether this candidate's leaves are a subset of `other`'s. The
+    /// signature test rejects most non-subsets without touching leaves.
+    fn dominates(&self, other: &Self) -> bool {
+        if self.sig & !other.sig != 0 {
+            return false;
+        }
+        let mut it = other.leaves().iter();
+        self.leaves().iter().all(|l| it.by_ref().any(|o| o == l))
+    }
+
+    /// Slot of each of `cut`'s leaves inside this candidate's leaves.
+    fn slots_of(&self, cut: &Cut) -> [usize; MAX_TT_INPUTS] {
+        let mut slots = [0; MAX_TT_INPUTS];
+        let mut at = 0;
+        for (slot, l) in slots.iter_mut().zip(&cut.leaves) {
+            while self.leaves[at] != l.0 {
+                at += 1;
+            }
+            *slot = at;
+        }
+        slots
+    }
+
+    /// Materializes the candidate as a [`Cut`] of a node whose fanin
+    /// cut sets are `fa` and, for a NAND2, `fb`. Exact: the table is the
+    /// one the candidate's own fanin pair composes to.
+    fn to_cut(self, fa: &[Cut], fb: Option<&[Cut]>) -> Cut {
+        let ca = &fa[self.from[0] as usize];
+        let table = match fb {
+            None => ca.table.not(),
+            Some(fb) => {
+                let cb = &fb[self.from[1] as usize];
+                let ea = ca.table.expand(self.len, &self.slots_of(ca)[..ca.leaves.len()]);
+                let eb = cb.table.expand(self.len, &self.slots_of(cb)[..cb.leaves.len()]);
+                ea.nand(&eb)
+            }
+        };
+        Cut { leaves: self.leaves().iter().map(|&l| SubjectNodeId(l)).collect(), table }
+    }
+}
+
+/// Reusable buffers for [`enumerate_node`]: the candidate, kept and
+/// fanin-record buffers survive across nodes, so once they have grown to
+/// the widest node the steady state allocates nothing but the stored cut
+/// sets. Mirrors `MatchScratch` in the structural matcher.
 #[derive(Debug, Default)]
 pub struct CutScratch {
-    candidates: Vec<Cut>,
-    leaf_pool: Vec<Vec<SubjectNodeId>>,
-    union: Vec<SubjectNodeId>,
+    candidates: Vec<Candidate>,
+    kept: Vec<Candidate>,
+    fanin: Vec<Candidate>,
     acquisitions: u64,
     allocations: u64,
     /// When set, cuts pruned by dominance are pushed to
@@ -213,8 +336,10 @@ impl CutScratch {
         Self::default()
     }
 
-    /// `(leaf-vector acquisitions, fresh allocations)` — reuse telemetry
-    /// in the spirit of `MatchScratch::stats`.
+    /// `(candidate-buffer acquisitions, fresh growth allocations)`:
+    /// each [`enumerate_node`] call on an internal node acquires its
+    /// candidate and kept buffers (plus the fanin records of a NAND2), and an acquisition that must grow its buffer counts one
+    /// allocation — reuse telemetry in the spirit of `MatchScratch::stats`.
     pub fn stats(&self) -> (u64, u64) {
         (self.acquisitions, self.allocations)
     }
@@ -224,23 +349,16 @@ impl CutScratch {
     pub fn dominated_log(&self) -> &[Cut] {
         &self.dominated_log
     }
+}
 
-    fn take_leaves(&mut self) -> Vec<SubjectNodeId> {
-        self.acquisitions += 1;
-        match self.leaf_pool.pop() {
-            Some(mut v) => {
-                v.clear();
-                v
-            }
-            None => {
-                self.allocations += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    fn recycle(&mut self, cut: Cut) {
-        self.leaf_pool.push(cut.leaves);
+/// Clears `buf` for reuse with room for `need` records, counting the
+/// acquisition and, if the buffer must grow, one allocation.
+fn acquire(buf: &mut Vec<Candidate>, need: usize, acquisitions: &mut u64, allocations: &mut u64) {
+    *acquisitions += 1;
+    buf.clear();
+    if buf.capacity() < need {
+        *allocations += 1;
+        buf.reserve(need);
     }
 }
 
@@ -250,6 +368,11 @@ impl CutScratch {
 /// already be populated (nodes are stored topologically, so ascending
 /// node order — or level order in the parallel driver — satisfies
 /// this). Returns the node's cut set plus its pruning counters.
+///
+/// Candidates are fixed-width `Copy` records (leaf array, 64-bit leaf
+/// signature, fanin pair): a merge whose signature union already has
+/// more than `k` bits is rejected before the leaf merge, and truth
+/// tables are composed only for the cuts that are stored.
 pub fn enumerate_node(
     g: &SubjectGraph,
     v: SubjectNodeId,
@@ -263,159 +386,119 @@ pub fn enumerate_node(
     let k = config.k.clamp(2, MAX_TT_INPUTS);
     let mut counts = CutCounts::default();
     scratch.dominated_log.clear();
-    scratch.candidates.clear();
 
-    let base_leaves: Vec<SubjectNodeId> = match g.kind(v) {
+    let (a, b) = match g.kind(v) {
         SubjectKind::Input(_) => {
             let set = CutSet { cuts: vec![Cut::trivial(v)] };
             counts.kept = 1;
             return (set, counts);
         }
-        SubjectKind::Inv(a) => {
-            // Unary lift: leaves unchanged, table negated. The lift of
-            // the trivial cut of `a` is exactly the base cut {a}.
-            for c in &sets[a.index()].cuts {
-                let mut leaves = scratch.take_leaves();
-                leaves.extend_from_slice(&c.leaves);
-                scratch.candidates.push(Cut { leaves, table: c.table.not() });
-            }
-            vec![a]
-        }
-        SubjectKind::Nand2(a, b) => {
-            for ca in &sets[a.index()].cuts {
-                for cb in &sets[b.index()].cuts {
-                    match merge_nand2(ca, cb, k, scratch) {
-                        Some(cut) => scratch.candidates.push(cut),
+        SubjectKind::Inv(a) => (a, None),
+        SubjectKind::Nand2(a, b) => (a, Some(b)),
+    };
+    let fa = &sets[a.index()].cuts;
+    let fb = b.map(|b| &sets[b.index()].cuts[..]);
+    let base = match b {
+        Some(b) if b != a => Candidate::of(&[a.min(b), a.max(b)], [0, 0]),
+        _ => Candidate::of(&[a], [0, 0]),
+    };
+    let CutScratch {
+        candidates,
+        kept,
+        fanin,
+        acquisitions,
+        allocations,
+        record_dominated,
+        dominated_log,
+    } = scratch;
+
+    acquire(candidates, fa.len() * fb.map_or(1, <[Cut]>::len), acquisitions, allocations);
+    // Fanin cut indices fit u32: a cut set never holds 2^32 cuts.
+    match fb {
+        // Unary lift: leaves unchanged, table negated. The lift of the
+        // trivial cut of `a` is exactly the base cut {a}.
+        None => candidates
+            .extend(fa.iter().enumerate().map(|(i, c)| Candidate::of(&c.leaves, [i as u32, 0]))),
+        Some(fb) => {
+            acquire(fanin, fb.len(), acquisitions, allocations);
+            fanin.extend(
+                fb.iter().enumerate().map(|(j, c)| Candidate::of(&c.leaves, [0, j as u32])),
+            );
+            for (i, ca) in fa.iter().enumerate() {
+                let ra = Candidate::of(&ca.leaves, [i as u32, 0]);
+                for rb in fanin.iter() {
+                    // The signature popcount bounds the union size from
+                    // below, so this reject is exact.
+                    let merged = if (ra.sig | rb.sig).count_ones() as usize > k {
+                        None
+                    } else {
+                        ra.merge(rb, k, [i as u32, rb.from[1]])
+                    };
+                    match merged {
+                        Some(c) => candidates.push(c),
                         None => counts.pruned_width += 1,
                     }
                 }
             }
-            if a == b {
-                vec![a]
-            } else {
-                vec![a.min(b), a.max(b)]
-            }
         }
-    };
+    }
 
     // Same leaves ⇒ same cone function, so sorting by (len, leaves) and
-    // dropping adjacent duplicates is a complete dedup.
-    let mut candidates = std::mem::take(&mut scratch.candidates);
-    candidates.sort_by(|x, y| (x.leaves.len(), &x.leaves).cmp(&(y.leaves.len(), &y.leaves)));
-    candidates.dedup_by(|x, y| x.leaves == y.leaves);
+    // dropping adjacent duplicates is a complete dedup. The first
+    // generated candidate of each leaf set survives, as under a stable
+    // sort, and its own fanin pair later composes the table.
+    candidates.sort_unstable_by_key(Candidate::key);
+    candidates.dedup_by(|x, y| x.same_leaves(y));
 
     // Dominance prune in sorted order: potential dominators (fewer
     // leaves, or equal-size earlier cuts, which can never be subsets)
     // are all seen before the cuts they dominate. The base cut is
-    // pinned regardless.
-    let mut kept: Vec<Cut> = Vec::with_capacity(candidates.len().min(config.max_cuts + 1));
-    for cut in candidates {
-        let is_base = cut.leaves == base_leaves;
-        if !is_base && kept.iter().any(|kc| kc.dominates(&cut)) {
+    // pinned regardless. Every candidate is checked, cap or no cap, so
+    // the dominated/overflow split does not depend on the cap. Only
+    // shorter kept cuts can dominate (equal-size ones are distinct sets),
+    // and kept is in length order, so they form a prefix of it.
+    acquire(kept, candidates.len(), acquisitions, allocations);
+    let (mut shorter, mut shorter_len) = (0, 0);
+    for c in candidates.iter() {
+        if c.len != shorter_len {
+            (shorter, shorter_len) = (kept.len(), c.len);
+        }
+        if !c.same_leaves(&base) && kept[..shorter].iter().any(|kc| kc.dominates(c)) {
             counts.pruned_dominated += 1;
-            if scratch.record_dominated {
-                scratch.dominated_log.push(cut.clone());
+            if *record_dominated {
+                dominated_log.push(c.to_cut(fa, fb));
             }
-            scratch.recycle(cut);
             continue;
         }
-        kept.push(cut);
+        kept.push(*c);
     }
 
     // Priority truncation: keep the base plus the smallest-first
     // survivors, at most max_cuts non-trivial cuts total. While the
-    // base is still ahead, one slot stays reserved for it.
+    // base is still ahead, one slot stays reserved for it: a base past
+    // the cap takes the last slot.
     let max_cuts = config.max_cuts.max(1);
+    let mut base_at = kept.iter().position(|c| c.same_leaves(&base));
     if kept.len() > max_cuts {
-        let base_at = kept.iter().position(|c| c.leaves == base_leaves).unwrap_or(0);
-        let mut stored = Vec::with_capacity(max_cuts);
-        for (i, cut) in kept.into_iter().enumerate() {
-            let cap = if base_at > i { max_cuts - 1 } else { max_cuts };
-            if i == base_at || stored.len() < cap {
-                stored.push(cut);
-            } else {
-                counts.pruned_overflow += 1;
-                scratch.recycle(cut);
-            }
+        if let Some(bi) = base_at.filter(|&bi| bi >= max_cuts) {
+            kept[max_cuts - 1] = kept[bi];
+            base_at = Some(max_cuts - 1);
         }
-        kept = stored;
+        counts.pruned_overflow = kept.len() - max_cuts;
+        kept.truncate(max_cuts);
     }
 
+    // Tables only now, for the stored cuts: base first after the
+    // trivial cut, then the rest in priority order.
     let mut cuts = Vec::with_capacity(kept.len() + 1);
     cuts.push(Cut::trivial(v));
-    if let Some(bi) = kept.iter().position(|c| c.leaves == base_leaves) {
-        cuts.push(kept.remove(bi));
+    if let Some(bi) = base_at {
+        cuts.push(kept[bi].to_cut(fa, fb));
     }
-    cuts.extend(kept);
+    let rest = kept.iter().enumerate().filter(|&(i, _)| Some(i) != base_at);
+    cuts.extend(rest.map(|(_, c)| c.to_cut(fa, fb)));
     counts.kept = cuts.len();
     (CutSet { cuts }, counts)
-}
-
-/// Merges two fanin cuts across a NAND2: sorted leaf union (rejected
-/// past `k` leaves) and the row-wise composed table
-/// `!(ta(va) & tb(vb))`.
-fn merge_nand2(ca: &Cut, cb: &Cut, k: usize, scratch: &mut CutScratch) -> Option<Cut> {
-    scratch.union.clear();
-    let (la, lb) = (&ca.leaves, &cb.leaves);
-    let (mut i, mut j) = (0, 0);
-    while i < la.len() || j < lb.len() {
-        match (la.get(i), lb.get(j)) {
-            (Some(&x), Some(&y)) if x == y => {
-                scratch.union.push(x);
-                i += 1;
-                j += 1;
-            }
-            (Some(&x), Some(&y)) if x < y => {
-                scratch.union.push(x);
-                i += 1;
-            }
-            (Some(_), Some(_)) => {
-                scratch.union.push(lb[j]);
-                j += 1;
-            }
-            (Some(&x), None) => {
-                scratch.union.push(x);
-                i += 1;
-            }
-            (None, Some(&y)) => {
-                scratch.union.push(y);
-                j += 1;
-            }
-            (None, None) => break,
-        }
-        if scratch.union.len() > k {
-            return None;
-        }
-    }
-    let n = scratch.union.len();
-    let union = &scratch.union;
-
-    // Position of each input's leaf inside the union (unions are small:
-    // a linear scan beats binary search here).
-    let mut pa = [0usize; MAX_TT_INPUTS];
-    for (bit, l) in la.iter().enumerate() {
-        pa[bit] = union.iter().position(|u| u == l).unwrap_or(0);
-    }
-    let mut pb = [0usize; MAX_TT_INPUTS];
-    for (bit, l) in lb.iter().enumerate() {
-        pb[bit] = union.iter().position(|u| u == l).unwrap_or(0);
-    }
-
-    let (ta, tb) = (ca.table.bits(), cb.table.bits());
-    let table = TruthTable::from_fn(n, |r| {
-        let mut ra = 0u64;
-        for (bit, &p) in pa[..la.len()].iter().enumerate() {
-            ra |= ((r >> p) & 1) << bit;
-        }
-        let mut rb = 0u64;
-        for (bit, &p) in pb[..lb.len()].iter().enumerate() {
-            rb |= ((r >> p) & 1) << bit;
-        }
-        !((ta >> ra) & 1 == 1 && (tb >> rb) & 1 == 1)
-    });
-    let mut leaves = scratch.take_leaves();
-    leaves.extend_from_slice(&scratch.union);
-    Some(Cut { leaves, table })
 }
 
 /// Sequential whole-graph enumeration: the reference driver. The
@@ -759,6 +842,27 @@ mod tests {
         let (acq, alloc) = scratch.stats();
         assert!(acq > 0);
         assert!(alloc <= acq, "pool never allocates more than it hands out");
+    }
+
+    #[test]
+    fn second_pass_allocates_nothing() {
+        // The buffers grow to the widest node on the first pass; a second
+        // pass over the same graph only reuses them.
+        let mut rng = Rng(0x5ec0_dba5);
+        let g = random_graph(&mut rng, 5, 120);
+        let mut scratch = CutScratch::new();
+        let pass = |scratch: &mut CutScratch| {
+            let mut sets: Vec<CutSet> = Vec::new();
+            for v in g.node_ids() {
+                let (set, _) = enumerate_node(&g, v, &sets, &CutConfig::default(), scratch);
+                sets.push(set);
+            }
+        };
+        pass(&mut scratch);
+        let (acq, alloc) = scratch.stats();
+        assert!(alloc > 0, "the first pass grows the buffers");
+        pass(&mut scratch);
+        assert_eq!(scratch.stats(), (2 * acq, alloc), "second pass: same acquisitions, no growth");
     }
 
     #[test]

@@ -9,6 +9,35 @@ use std::fmt;
 /// matches the "big" library of the paper.
 pub const MAX_TT_INPUTS: usize = 6;
 
+/// Per adjacent variable pair `(j, j + 1)`: the rows the pair leaves in
+/// place (both bits equal), the rows with only `j` set, and the rows with
+/// only `j + 1` set. A swap moves the second group up by `2^j` rows and
+/// the third down by as much.
+const SWAP_MASKS: [[u64; 3]; MAX_TT_INPUTS - 1] = [
+    [0x9999_9999_9999_9999, 0x2222_2222_2222_2222, 0x4444_4444_4444_4444],
+    [0xc3c3_c3c3_c3c3_c3c3, 0x0c0c_0c0c_0c0c_0c0c, 0x3030_3030_3030_3030],
+    [0xf00f_f00f_f00f_f00f, 0x00f0_00f0_00f0_00f0, 0x0f00_0f00_0f00_0f00],
+    [0xff00_00ff_ff00_00ff, 0x0000_ff00_0000_ff00, 0x00ff_0000_00ff_0000],
+    [0xffff_0000_0000_ffff, 0x0000_0000_ffff_0000, 0x0000_ffff_0000_0000],
+];
+
+/// Per variable `i`: the rows where `i` is clear (the negative cofactor).
+const CLEAR_ROWS: [u64; MAX_TT_INPUTS] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
+
+/// Exchanges variables `j` and `j + 1` of a raw 64-row table.
+fn swap_bits(bits: u64, j: usize) -> u64 {
+    let [keep, up, down] = SWAP_MASKS[j];
+    let shift = 1u32 << j;
+    (bits & keep) | ((bits & up) << shift) | ((bits & down) >> shift)
+}
+
 /// A complete truth table over at most [`MAX_TT_INPUTS`] variables.
 ///
 /// Bit `i` of [`TruthTable::bits`] holds the function value on the input
@@ -99,20 +128,76 @@ impl TruthTable {
         Self { inputs: self.inputs, bits: !self.bits & Self::mask(self.inputs) }
     }
 
-    /// Whether this function actually depends on input `i`.
+    /// The NAND of two functions over the same variables.
+    #[must_use]
+    pub fn nand(&self, other: &Self) -> Self {
+        debug_assert_eq!(self.inputs, other.inputs, "nand of tables over different variables");
+        Self { inputs: self.inputs, bits: !(self.bits & other.bits) & Self::mask(self.inputs) }
+    }
+
+    /// Whether this function actually depends on input `i`: its two
+    /// cofactors on `i`, compared bit-parallel.
     pub fn depends_on(&self, i: usize) -> bool {
         assert!(i < self.inputs);
-        let stride = 1u64 << i;
-        for row in 0..(1u64 << self.inputs) {
-            if row & stride == 0 {
-                let lo = (self.bits >> row) & 1;
-                let hi = (self.bits >> (row | stride)) & 1;
-                if lo != hi {
-                    return true;
-                }
+        (self.bits ^ (self.bits >> (1u32 << i))) & CLEAR_ROWS[i] != 0
+    }
+
+    /// The same function with variables `j` and `j + 1` exchanged.
+    /// `j + 1` must be below [`TruthTable::inputs`].
+    #[must_use]
+    pub fn swap_adjacent(&self, j: usize) -> Self {
+        debug_assert!(
+            j + 1 < self.inputs,
+            "swap of x{j} and x{} in a {}-input table",
+            j + 1,
+            self.inputs
+        );
+        Self { inputs: self.inputs, bits: swap_bits(self.bits, j) }
+    }
+
+    /// Embeds this function into `n` variables: variable `i` becomes
+    /// variable `slots[i]` and the new variables are don't-cares.
+    /// `slots` holds one strictly increasing slot per input, each below
+    /// `n ≤ MAX_TT_INPUTS`.
+    ///
+    /// Bit-parallel: the table is replicated across all 64 rows (making
+    /// every variable above the inputs a don't-care), then each variable,
+    /// highest first, climbs to its slot by adjacent swaps.
+    #[must_use]
+    pub fn expand(&self, n: usize, slots: &[usize]) -> Self {
+        debug_assert!(n <= MAX_TT_INPUTS && slots.len() == self.inputs);
+        debug_assert!(slots.windows(2).all(|w| w[0] < w[1]) && slots.iter().all(|&s| s < n));
+        let mut bits = self.bits;
+        for i in self.inputs..MAX_TT_INPUTS {
+            bits |= bits << (1u32 << i);
+        }
+        for (i, &slot) in slots.iter().enumerate().rev() {
+            for j in i..slot {
+                bits = swap_bits(bits, j);
             }
         }
-        false
+        Self { inputs: n, bits: bits & Self::mask(n) }
+    }
+
+    /// Restricts this function to the variables in `support` (strictly
+    /// increasing): variable `i` of the result is variable `support[i]`
+    /// here, and every other variable is fixed to 0 — the exact function
+    /// when the table does not depend on them.
+    ///
+    /// Bit-parallel: each kept variable, lowest first, sinks to its new
+    /// index by adjacent swaps, and the low rows are kept.
+    #[must_use]
+    pub fn shrink(&self, support: &[usize]) -> Self {
+        debug_assert!(support.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(support.iter().all(|&v| v < self.inputs));
+        let mut bits = self.bits;
+        for (i, &var) in support.iter().enumerate() {
+            for j in (i..var).rev() {
+                bits = swap_bits(bits, j);
+            }
+        }
+        let n = support.len();
+        Self { inputs: n, bits: bits & Self::mask(n) }
     }
 
     /// Canonical constant-true table over `inputs` variables.

@@ -1,25 +1,82 @@
-//! Regenerates the golden table of `crates/check/tests/stage_equiv.rs`:
-//! every headline flow metric as a raw `f64` bit pattern plus an FNV-1a
-//! structural hash of the mapped netlist. Run after an *intentional*
-//! numeric change and paste the output into the `GOLDEN` table.
+//! Regenerates the golden tables of `crates/check/tests/stage_equiv.rs`
+//! (every headline flow metric as a raw `f64` bit pattern plus an FNV-1a
+//! structural hash of the mapped netlist) and of
+//! `crates/core/tests/cut_exact.rs` (an FNV-1a hash over every stored cut
+//! plus the enumeration counters). Run after an *intentional* numeric
+//! change and paste each block into its `GOLDEN` table.
 #![allow(missing_docs)]
 
 use lily::cells::Library;
 use lily::core::flow::FlowOptions;
-use lily::netlist::Network;
+use lily::core::CutIndex;
+use lily::netlist::decompose::{decompose, DecomposeOrder};
+use lily::netlist::{CutConfig, CutSet, Network};
 use lily::workloads::{scale_circuit, ScaleFamily};
 
 /// The golden circuits: the named seed circuits plus `random-dag-1000`,
 /// a seeded 1000-node random DAG whose many overlapping output cones
-/// exercise the covering DP's revisits.
+/// exercise the covering DP's revisits, and `tree-adder-2000`, a deep,
+/// narrow prefix adder.
 fn network(name: &str) -> Network {
     match name {
         "random-dag-1000" => scale_circuit(ScaleFamily::RandomDag, 1000, 7),
+        "tree-adder-2000" => scale_circuit(ScaleFamily::TreeAdder, 2000, 3),
         _ => lily::workloads::circuits::circuit(name),
     }
 }
 
+/// FNV-1a over every stored cut in node order (the `cut_exact.rs` hash).
+fn sets_hash(sets: &[CutSet]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for set in sets {
+        mix(set.cuts.len() as u64);
+        for cut in &set.cuts {
+            mix(cut.leaves.len() as u64);
+            for l in &cut.leaves {
+                mix(l.index() as u64);
+            }
+            mix(cut.table.inputs() as u64);
+            mix(cut.table.bits());
+        }
+    }
+    h
+}
+
+/// The `cut_exact.rs` rows: every golden circuit under four cut bounds.
+fn cut_rows() {
+    let configs = [
+        CutConfig::default(),
+        CutConfig { k: 3, max_cuts: 2 },
+        CutConfig { k: 6, max_cuts: 1 },
+        CutConfig { k: 4, max_cuts: 12 },
+    ];
+    for name in ["misex1", "C432", "random-dag-1000", "tree-adder-2000"] {
+        let g = decompose(&network(name), DecomposeOrder::Balanced).unwrap();
+        for config in &configs {
+            let idx = CutIndex::build(&g, config).unwrap();
+            let s = &idx.stats;
+            println!(
+                "(\"{name}\", {}, {}, {:#018x}, {}, {}, {}, {}, {}, {}),",
+                config.k,
+                config.max_cuts,
+                sets_hash(&idx.sets),
+                s.nodes,
+                s.kept,
+                s.pruned_width,
+                s.pruned_dominated,
+                s.pruned_overflow,
+                s.max_per_node,
+            );
+        }
+    }
+}
+
 fn main() {
+    println!("// crates/check/tests/stage_equiv.rs");
     let structural: &[&str] = &["mis-area", "lily-area", "mis-delay", "lily-delay"];
     let cut: &[&str] = &["cut-area", "cut-delay"];
     let rows = [
@@ -74,4 +131,6 @@ fn main() {
             );
         }
     }
+    println!("// crates/core/tests/cut_exact.rs");
+    cut_rows();
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Smoke-test the cut-enumeration mapper: run the cut-area flow over
-# misex1, and over a 2000-node random DAG whose many overlapping output
-# cones drive the incremental covering DP through its reuse path, at 1,
-# 2, and 8 worker threads and assert
+# misex1, over a 2000-node random DAG whose many overlapping output
+# cones drive the incremental covering DP through its reuse path, and
+# over a 4000-node tree adder, whose deep, narrow levels give the
+# level-synchronous cut enumeration a different shape than the wide
+# random DAG, at 1, 2, and 8 worker threads and assert
 #
 #   1. every lily-check pass is clean at every thread count,
 #   2. the metrics JSON is byte-identical across thread counts once the
@@ -74,6 +76,7 @@ check_round() {
 
 check_round metrics --circuit misex1
 check_round dag_metrics --gen random-dag --gen-nodes 2000
+check_round adder_metrics --gen tree-adder --gen-nodes 4000
 
 # Map-stage wall-time guard. The baseline is the misex1 lily-mapper map
 # stage recorded in the checked-in BENCH_flow.json; the single-thread
