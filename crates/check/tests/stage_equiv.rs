@@ -14,6 +14,10 @@
 //! incremental; they pin the cut mapper's DP path to that oracle,
 //! including on the heavily overlapping cones of `random-dag-1000`.
 //!
+//! `random-dag-2000` is the one row whose subject graph (7 437 movable
+//! nodes) crosses `multilevel_threshold`, so it pins the clustered
+//! multilevel pad ordering and subject placement as well.
+//!
 //! Regenerate with `cargo run --example golden_dump` after an
 //! *intentional* numeric change.
 
@@ -54,6 +58,7 @@ const GOLDEN: &[GoldenRow] = &[
     ("C432", "cut-delay", 202, 0x412a5e0000000000, 0x4138f331e18a909b, 0x40fae5044caa6f19, 0x4020969f3edd0fa8, 0x33403594d71da627),
     ("random-dag-1000", "cut-area", 1666, 0x415bdf8c00000000, 0x4176487901526d9e, 0x414180ab6f39a1d9, 0x4062ff7e56159f45, 0xf5ec4bc66c5dbb82),
     ("random-dag-1000", "cut-delay", 2294, 0x4163104600000000, 0x417e7e3971090e8f, 0x4147f4abeee5c77f, 0x403baeab91824af9, 0xe81dec971697eecf),
+    ("random-dag-2000", "cut-area", 3669, 0x416f89a200000000, 0x4190f772c20c1f3f, 0x415dc5212940476c, 0x40665f7e93be21b9, 0xf9a84d5f46a70033),
 ];
 
 fn flow_setup(flow: &str) -> (FlowOptions, Library) {
@@ -70,10 +75,12 @@ fn flow_setup(flow: &str) -> (FlowOptions, Library) {
 
 /// The golden circuits: the named seed circuits plus `random-dag-1000`,
 /// a seeded 1000-node random DAG whose many overlapping output cones
-/// exercise the covering DP's revisits.
+/// exercise the covering DP's revisits, and `random-dag-2000`, which
+/// takes the multilevel placement path.
 fn network(name: &str) -> Network {
     match name {
         "random-dag-1000" => scale_circuit(ScaleFamily::RandomDag, 1000, 7),
+        "random-dag-2000" => scale_circuit(ScaleFamily::RandomDag, 2000, 7),
         _ => circuits::circuit(name),
     }
 }
