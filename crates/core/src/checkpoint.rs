@@ -282,22 +282,24 @@ fn encode_pad_plan(plan: &PadPlan) -> String {
     JsonObject::new()
         .string("est_area", &hex_f64(plan.est_area))
         .raw("core", &encode_rect(plan.core))
-        .raw("pads", &encode_points(&plan.pads))
+        .raw("pads", &encode_points(plan.pads()))
         .finish()
 }
 
 /// The stored pad plan carries the measured fields; the placement
 /// problem is a pure deterministic function of the subject graph and is
-/// recomputed rather than stored.
+/// recomputed rather than stored, as is the prepared multilevel system
+/// (`SubjectPlace` rebuilds it).
 fn decode_pad_plan(v: &Json, g: &SubjectGraph) -> Result<Arc<PadPlan>, String> {
     let est_area = hex_field(v, "est_area")?;
     let core = decode_rect(v, "core")?;
     let pads = decode_points(v, "pads")?;
-    let placement = SubjectPlacement::new(g);
     if pads.len() != g.inputs().len() + g.outputs().len() {
         return Err("pad count does not match the subject graph".to_string());
     }
-    Ok(Arc::new(PadPlan { est_area, core, placement, pads }))
+    let mut placement = SubjectPlacement::new(g);
+    placement.problem.fixed = pads;
+    Ok(Arc::new(PadPlan::restored(est_area, core, placement)))
 }
 
 fn encode_image(image: &SubjectImage) -> String {
@@ -1179,36 +1181,52 @@ mod tests {
     #[test]
     fn interrupted_flow_resumes_bit_exactly() {
         let lib = Library::big();
-        let net = flow_fixture();
-        let options = FlowOptions::lily_area();
-        let dir = temp_dir("resume");
-        let full_dir = temp_dir("full");
-        let full = run_flow_checkpointed(&net, &lib, &options, &full_dir, None).unwrap();
-        let _ = fs::remove_dir_all(&full_dir);
-        // Kill after the mapper; four stages are on disk.
-        let killed = run_flow_checkpointed(&net, &lib, &options, &dir, Some("map"));
-        assert!(matches!(killed, Err(MapError::Interrupted { stage: "map" })));
-        // Resume: the first four stages restore, the rest compute.
-        let resumed = run_flow_checkpointed(&net, &lib, &options, &dir, None).unwrap();
-        assert!(resumed.metrics.degradations.iter().all(|d| d.stage != "checkpoint"));
-        assert_eq!(full.metrics.cells, resumed.metrics.cells);
-        assert_eq!(full.metrics.wire_length.to_bits(), resumed.metrics.wire_length.to_bits());
-        assert_eq!(full.metrics.critical_delay.to_bits(), resumed.metrics.critical_delay.to_bits());
-        assert_eq!(
-            full.metrics.chip_area_channeled.to_bits(),
-            resumed.metrics.chip_area_channeled.to_bits()
-        );
-        assert_eq!(full.metrics.retries, resumed.metrics.retries);
-        assert_eq!(full.metrics.degradations, resumed.metrics.degradations);
-        // The stage tables agree on everything but wall time.
-        let full_stages: Vec<_> =
-            full.metrics.stages.records().iter().map(|r| (r.stage, r.size, r.unit)).collect();
-        let resumed_stages: Vec<_> =
-            resumed.metrics.stages.records().iter().map(|r| (r.stage, r.size, r.unit)).collect();
-        assert_eq!(full_stages, resumed_stages);
-        // And the final netlists are byte-identical.
-        assert_eq!(encode_mapped(&full.mapped, &lib), encode_mapped(&resumed.mapped, &lib));
-        let _ = fs::remove_dir_all(&dir);
+        // The fixture under Lily, killed after the mapper (four stages on
+        // disk). And random-dag-2000, whose pad ordering prepares the
+        // multilevel system the subject placement then solves: killed
+        // after each of the two, so the resumed run rebuilds the system
+        // from a decoded pad plan.
+        let dag = lily_workloads::scale_circuit(lily_workloads::ScaleFamily::RandomDag, 2000, 7);
+        let cases = [
+            ("resume", flow_fixture(), FlowOptions::lily_area(), "map"),
+            ("resume-pads", dag.clone(), FlowOptions::cut_area(), "assign-pads"),
+            ("resume-image", dag, FlowOptions::cut_area(), "subject-place"),
+        ];
+        for (tag, net, options, kill) in &cases {
+            let dir = temp_dir(tag);
+            let full_dir = temp_dir(&format!("{tag}-full"));
+            let full = run_flow_checkpointed(net, &lib, options, &full_dir, None).unwrap();
+            let _ = fs::remove_dir_all(&full_dir);
+            let killed = run_flow_checkpointed(net, &lib, options, &dir, Some(kill));
+            assert!(
+                matches!(killed, Err(MapError::Interrupted { stage }) if stage == *kill),
+                "{tag}: {killed:?}"
+            );
+            // Resume: the stored prefix restores, the rest computes.
+            let resumed = run_flow_checkpointed(net, &lib, options, &dir, None).unwrap();
+            let (f, r) = (&full.metrics, &resumed.metrics);
+            assert!(r.degradations.iter().all(|d| d.stage != "checkpoint"), "{tag}");
+            assert_eq!(f.cells, r.cells, "{tag}");
+            assert_eq!(f.wire_length.to_bits(), r.wire_length.to_bits(), "{tag}");
+            assert_eq!(f.critical_delay.to_bits(), r.critical_delay.to_bits(), "{tag}");
+            assert_eq!(f.chip_area_channeled.to_bits(), r.chip_area_channeled.to_bits(), "{tag}");
+            assert_eq!(f.retries, r.retries, "{tag}");
+            assert_eq!(f.degradations, r.degradations, "{tag}");
+            // The stage tables agree on everything but wall time.
+            let shape = |m: &FlowMetrics| -> Vec<_> {
+                m.stages.records().iter().map(|r| (r.stage, r.size, r.unit)).collect()
+            };
+            assert_eq!(shape(f), shape(r), "{tag}");
+            // The pad plan, the layout image and the final netlist are
+            // byte-identical.
+            let upstream = |r: &FlowResult| {
+                let plan = r.artifacts.pads.as_deref().expect("pad plan");
+                (encode_pad_plan(plan), r.artifacts.image.as_deref().map(encode_image))
+            };
+            assert_eq!(upstream(&full), upstream(&resumed), "{tag}");
+            assert_eq!(encode_mapped(&full.mapped, &lib), encode_mapped(&resumed.mapped, &lib));
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! computation order inside each stage is preserved exactly so the
 //! stage-graph flow is bit-identical to the original pipeline.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::baseline::MisMapper;
 use crate::cover::{MapStats, Partition};
@@ -20,7 +20,7 @@ use lily_par::ParOptions;
 use lily_place::anneal::{try_anneal_cancel, AnnealOptions};
 use lily_place::global::{try_global_place_cancel, GlobalOptions};
 use lily_place::legalize::{improve, legalize, LegalizeOptions, Legalized};
-use lily_place::multilevel::{try_multilevel_place_cancel, MultilevelOptions};
+use lily_place::multilevel::{MultilevelOptions, MultilevelSystem};
 use lily_place::{assign_pads, PinRef, PlacementProblem, Point, Rect, SubjectPlacement};
 use lily_route::congestion::{deposit_rows, STRIPE_ROWS};
 use lily_route::{rsmt_length_with, BinBox, CongestionGrid, RsmtScratch};
@@ -74,11 +74,40 @@ pub struct PadPlan {
     pub est_area: f64,
     /// The estimated core region the pads ring.
     pub core: Rect,
-    /// The subject graph as a placement problem (movable internal
-    /// nodes, fixed pads).
+    /// The subject graph as a placement problem: movable internal
+    /// nodes, fixed pads at the assigned positions ([`PadPlan::pads`]).
     pub placement: SubjectPlacement,
-    /// Pad positions: primary inputs first, then primary outputs.
-    pub pads: Vec<Point>,
+    /// The prepared multilevel system of `placement`, kept for the
+    /// subject placement when the pad ordering built one.
+    system: SystemSlot,
+}
+
+/// A prepared multilevel system on its way from `AssignPads` to
+/// `SubjectPlace`, which takes it at most once so it does not outlive
+/// the subject placement. A taker that finds the slot empty (a plan
+/// restored from a checkpoint, a retried stage, a copied plan) prepares
+/// the system afresh; preparation is deterministic, so either way the
+/// placement is the same.
+#[derive(Default)]
+struct SystemSlot(Mutex<Option<MultilevelSystem>>);
+
+impl SystemSlot {
+    fn take(&self) -> Option<MultilevelSystem> {
+        self.0.lock().map_or(None, |mut slot| slot.take())
+    }
+}
+
+impl Clone for SystemSlot {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl std::fmt::Debug for SystemSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let held = self.0.lock().is_ok_and(|slot| slot.is_some());
+        f.debug_tuple("SystemSlot").field(&if held { "prepared" } else { "empty" }).finish()
+    }
 }
 
 impl PadPlan {
@@ -97,7 +126,10 @@ impl PadPlan {
     /// interior positions come from the clustered placer instead of
     /// the flat solve inside `assign_pads` (which would dominate the
     /// whole flow at 10⁵ modules); a failed multilevel solve falls
-    /// back to the flat path's own uniform-seed behavior.
+    /// back to the flat path's own uniform-seed behavior. When the
+    /// configured mapper consumes the layout image, the prepared
+    /// multilevel system stays in the plan for `SubjectPlace`, which
+    /// solves it again against the assigned pads.
     ///
     /// # Errors
     ///
@@ -114,16 +146,18 @@ impl PadPlan {
             * tech.grid_width
             * tech.row_height;
         let core = options.physical.area_model.core_region(est_area);
-        let placement = SubjectPlacement::new(g);
+        let mut placement = SubjectPlacement::new(g);
         let problem = &placement.problem;
+        let mut system = None;
         let pads = if problem.movable >= options.physical.multilevel_threshold
             && core.width().is_finite()
             && core.height().is_finite()
         {
             let seed = lily_place::pads::perimeter_points(core, problem.fixed.len());
-            let seeded = PlacementProblem { fixed: seed.clone(), ..problem.clone() };
-            match try_multilevel_place_cancel(&seeded, &MultilevelOptions::for_region(core), cancel)
-            {
+            let solved =
+                MultilevelSystem::prepare(problem, &MultilevelOptions::for_region(core), cancel)
+                    .and_then(|prepared| system.insert(prepared).solve(&seed, cancel));
+            match solved {
                 Ok(mp) => lily_place::assign_pads_with_interior(problem, core, &mp.positions),
                 Err(lily_place::PlaceError::Cancelled { context }) => {
                     return Err(MapError::Cancelled { context });
@@ -133,19 +167,32 @@ impl PadPlan {
         } else {
             assign_pads(problem, core)
         };
-        Ok(Self { est_area, core, placement, pads })
+        placement.problem.fixed = pads;
+        let system = system.filter(|_| Map::wants_image(lib, options));
+        Ok(Self { est_area, core, placement, system: SystemSlot(Mutex::new(system)) })
+    }
+
+    /// A plan restored from its stored fields: `placement` must already
+    /// carry the assigned pads. It holds no prepared system.
+    pub(crate) fn restored(est_area: f64, core: Rect, placement: SubjectPlacement) -> Self {
+        Self { est_area, core, placement, system: SystemSlot::default() }
+    }
+
+    /// Pad positions: primary inputs first, then primary outputs.
+    pub fn pads(&self) -> &[Point] {
+        &self.placement.problem.fixed
     }
 
     /// The output-pad slice of [`PadPlan::pads`] (`g` has
     /// `pads.len() - n_inputs` primary outputs).
     pub fn output_pads(&self, g: &SubjectGraph) -> &[Point] {
-        &self.pads[g.inputs().len()..]
+        &self.pads()[g.inputs().len()..]
     }
 }
 
 impl StageArtifact for PadPlan {
     fn size(&self) -> usize {
-        self.pads.len()
+        self.pads().len()
     }
 
     fn unit(&self) -> &'static str {
@@ -215,6 +262,8 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan)> for SubjectPlace {
         (g, plan): (&'a SubjectGraph, &'a PadPlan),
     ) -> Result<Self::Out, MapError> {
         let cancel = ctx.cancel.clone();
+        // Take the prepared system whatever happens, so it is freed here.
+        let system = plan.system.take();
         let solved = if ctx.armed.take_solver_diverged() {
             Err(lily_place::PlaceError::SolverDiverged {
                 solver: "injected-fault",
@@ -224,8 +273,7 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan)> for SubjectPlace {
         } else if ctx.armed.take_nan() {
             Err(lily_place::PlaceError::NonFinite { context: "injected layout-image poison" })
         } else if plan.est_area.is_finite() {
-            let problem = with_pads(plan.placement.problem.clone(), &plan.pads);
-            place_globally(&problem, plan.core, &ctx.options, &cancel)
+            place_globally(&plan.placement.problem, plan.core, &ctx.options, system, &cancel)
         } else {
             Err(lily_place::PlaceError::NonFinite { context: "estimated core area" })
         };
@@ -234,7 +282,7 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan)> for SubjectPlace {
         if let Err(lily_place::PlaceError::Cancelled { context }) = solved {
             return Err(MapError::Cancelled { context });
         }
-        Ok(match solved.and_then(|pts| plan.placement.node_positions(g, &pts, &plan.pads)) {
+        Ok(match solved.and_then(|pts| plan.placement.node_positions(g, &pts, plan.pads())) {
             Ok(positions) => SubjectImage { positions: Some(positions), failure: None },
             Err(e) => SubjectImage { positions: None, failure: Some(e.to_string()) },
         })
@@ -463,14 +511,14 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
         // Resize the core to the real mapped area and rescale the pads
         // onto it; both pipelines share the same pad ring shape.
         let core = options.physical.area_model.core_region(mapped.instance_area(lib));
-        let pads: Vec<Point> = plan.pads.iter().map(|p| rescale(*p, plan.core, core)).collect();
+        let pads: Vec<Point> = plan.pads().iter().map(|p| rescale(*p, plan.core, core)).collect();
         apply_pads(&mut mapped, &pads);
 
         // Without a constructive placement from the mapper, globally
         // place the mapped netlist against the rescaled pads.
         if !constructive {
-            let (problem, _) = mapped_problem(&mapped);
-            let problem = with_pads(problem, &pads);
+            let (mut problem, _) = mapped_problem(&mapped);
+            problem.fixed = pads;
             let solved = if ctx.armed.take_solver_diverged() {
                 Err(lily_place::PlaceError::SolverDiverged {
                     solver: "injected-fault",
@@ -478,7 +526,7 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
                     residual: f64::NAN,
                 })
             } else {
-                place_globally(&problem, core, &options, &ctx.cancel)
+                place_globally(&problem, core, &options, None, &ctx.cancel)
             };
             match solved {
                 Ok(pts) => {
@@ -942,18 +990,26 @@ pub fn mapped_problem(mapped: &MappedNetwork) -> (PlacementProblem, usize) {
 
 /// Globally places `problem` inside `region`: the flat GORDIAN placer
 /// below the configured multilevel threshold, the clustered multilevel
-/// placer at or above it. Flat CG costs O(levels·n·cg_iters) and does
-/// not survive 10⁵ movable modules; the threshold default keeps every
+/// placer at or above it — solving `prepared` when given (it must have
+/// been prepared from `problem` for `region`), otherwise a system
+/// prepared here. Flat CG costs O(levels·n·cg_iters) and does not
+/// survive 10⁵ movable modules; the threshold default keeps every
 /// corpus circuit on the flat path bit-for-bit.
 fn place_globally(
     problem: &PlacementProblem,
     region: Rect,
     options: &FlowOptions,
+    prepared: Option<MultilevelSystem>,
     cancel: &lily_fault::CancelToken,
 ) -> Result<Vec<Point>, lily_place::PlaceError> {
     if problem.movable >= options.physical.multilevel_threshold {
-        try_multilevel_place_cancel(problem, &MultilevelOptions::for_region(region), cancel)
-            .map(|mp| mp.positions)
+        let system = match prepared {
+            Some(system) => system,
+            None => {
+                MultilevelSystem::prepare(problem, &MultilevelOptions::for_region(region), cancel)?
+            }
+        };
+        system.solve(&problem.fixed, cancel).map(|mp| mp.positions)
     } else {
         try_global_place_cancel(problem, &GlobalOptions::for_region(region), cancel)
             .map(|gp| gp.positions)
@@ -965,11 +1021,6 @@ fn rescale(p: Point, from: Rect, to: Rect) -> Point {
     let fx = if from.width() > 0.0 { (p.x - from.llx) / from.width() } else { 0.5 };
     let fy = if from.height() > 0.0 { (p.y - from.lly) / from.height() } else { 0.5 };
     Point::new(to.llx + fx * to.width(), to.lly + fy * to.height())
-}
-
-fn with_pads(mut problem: PlacementProblem, pads: &[Point]) -> PlacementProblem {
-    problem.fixed = pads.to_vec();
-    problem
 }
 
 fn apply_pads(mapped: &mut MappedNetwork, pads: &[Point]) {

@@ -49,11 +49,8 @@ pub use geom::{Point, Rect};
 pub use global::{try_global_place, try_global_place_cancel, GlobalOptions};
 pub use multilevel::{
     try_multilevel_place, try_multilevel_place_cancel, ClusterHierarchy, ClusterLevel,
-    MultilevelOptions, MultilevelPlacement,
+    MultilevelOptions, MultilevelPlacement, MultilevelSystem,
 };
 pub use pads::{assign_pads, assign_pads_with_interior};
 pub use problem::SubjectPlacement;
-pub use quadratic::{
-    try_refine_quadratic_cancel, try_solve_quadratic, try_solve_quadratic_cancel, PinRef,
-    PlacementProblem,
-};
+pub use quadratic::{try_solve_quadratic, try_solve_quadratic_cancel, PinRef, PlacementProblem};

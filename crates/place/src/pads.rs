@@ -117,22 +117,17 @@ fn order_pads(
     seed: &[Point],
 ) -> Vec<Point> {
     let n_pads = problem.fixed.len();
+    let net_pads = NetPads::new(problem);
     // Barycenter of the movable modules each pad connects to.
     let mut sums: Vec<(f64, f64, usize)> = vec![(0.0, 0.0, 0); n_pads];
-    for net in &problem.nets {
-        let pads: Vec<usize> = net
-            .iter()
-            .filter_map(|p| match p {
-                PinRef::Fixed(i) => Some(*i),
-                PinRef::Movable(_) => None,
-            })
-            .collect();
+    for (ni, net) in problem.nets.iter().enumerate() {
+        let pads = net_pads.of(ni);
         if pads.is_empty() {
             continue;
         }
         for pin in net {
             if let PinRef::Movable(m) = pin {
-                for &pad in &pads {
+                for &pad in pads {
                     sums[pad].0 += positions[*m].x;
                     sums[pad].1 += positions[*m].y;
                     sums[pad].2 += 1;
@@ -158,7 +153,7 @@ fn order_pads(
     // diffusion resolves configurations where barycenter angles are
     // degenerate (symmetric designs) while reducing to the pure angle
     // ordering when pads share no modules.
-    let affinity = pad_affinity(problem);
+    let affinity = pad_affinity(problem, &net_pads);
     let seed: Vec<f64> =
         (0..n_pads).map(|p| angle_from_center(core, centroids[p]) + 1e-9 * p as f64).collect();
     let key = diffuse(&affinity, &seed, 30);
@@ -182,52 +177,67 @@ fn order_pads(
     out
 }
 
-/// Pad-to-pad affinity: weight 1 per movable module that two pads share
-/// a net-neighborhood with.
-fn pad_affinity(problem: &PlacementProblem) -> Vec<Vec<(usize, f64)>> {
-    let n_pads = problem.fixed.len();
-    // Modules adjacent to each pad (one net hop).
-    let mut modules_of_pad: Vec<Vec<usize>> = vec![Vec::new(); n_pads];
-    for net in &problem.nets {
-        let pads: Vec<usize> = net
-            .iter()
-            .filter_map(|p| match p {
+/// The pads of every net, in pin order: net `i`'s pads are
+/// `pads[start[i]..start[i + 1]]`.
+struct NetPads {
+    start: Vec<usize>,
+    pads: Vec<usize>,
+}
+
+impl NetPads {
+    fn new(problem: &PlacementProblem) -> Self {
+        let mut start = Vec::with_capacity(problem.nets.len() + 1);
+        let mut pads = Vec::new();
+        start.push(0);
+        for net in &problem.nets {
+            pads.extend(net.iter().filter_map(|p| match p {
                 PinRef::Fixed(i) => Some(*i),
                 PinRef::Movable(_) => None,
-            })
-            .collect();
+            }));
+            start.push(pads.len());
+        }
+        Self { start, pads }
+    }
+
+    fn of(&self, net: usize) -> &[usize] {
+        &self.pads[self.start[net]..self.start[net + 1]]
+    }
+}
+
+/// Pad-to-pad affinity: weight 1 per movable module that two pads share
+/// a net-neighborhood with, counted once per pair of incidences (a
+/// module reaching a pad through two nets counts twice). Each pad's
+/// neighbors are in ascending order, the order [`diffuse`] sums in.
+fn pad_affinity(problem: &PlacementProblem, net_pads: &NetPads) -> Vec<Vec<(usize, f64)>> {
+    // Pads adjacent to each module (one net hop), one entry per
+    // (net, pad) incidence.
+    let mut pads_of_module: Vec<Vec<usize>> = vec![Vec::new(); problem.movable];
+    for (ni, net) in problem.nets.iter().enumerate() {
         for pin in net {
             if let PinRef::Movable(m) = pin {
-                for &pad in &pads {
-                    modules_of_pad[pad].push(*m);
-                }
+                pads_of_module[*m].extend_from_slice(net_pads.of(ni));
             }
         }
     }
-    // Invert: pads touching each module.
-    let n_modules = problem.movable;
-    let mut pads_of_module: Vec<Vec<usize>> = vec![Vec::new(); n_modules];
-    for (pad, mods) in modules_of_pad.iter().enumerate() {
-        for &m in mods {
-            pads_of_module[m].push(pad);
-        }
-    }
-    let mut weight: std::collections::BTreeMap<(usize, usize), f64> =
-        std::collections::BTreeMap::new();
+    // Every ordered pair of distinct pads sharing a module; sorting
+    // groups each pad's neighbors in ascending order, and the run
+    // length of a pair is its (integer, hence order-free) weight.
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
     for pads in &pads_of_module {
-        for i in 0..pads.len() {
-            for j in i + 1..pads.len() {
-                let (a, b) = (pads[i].min(pads[j]), pads[i].max(pads[j]));
+        for (i, &a) in pads.iter().enumerate() {
+            for &b in &pads[i + 1..] {
                 if a != b {
-                    *weight.entry((a, b)).or_insert(0.0) += 1.0;
+                    pairs.push((a, b));
+                    pairs.push((b, a));
                 }
             }
         }
     }
-    let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_pads];
-    for ((a, b), w) in weight {
-        adj[a].push((b, w));
-        adj[b].push((a, w));
+    pairs.sort_unstable();
+    let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); problem.fixed.len()];
+    for run in pairs.chunk_by(|x, y| x == y) {
+        let (a, b) = run[0];
+        adj[a].push((b, run.len() as f64));
     }
     adj
 }
@@ -355,6 +365,79 @@ mod tests {
         assert_eq!(assign_pads_with_interior(&problem, core, &[Point::default()]), seed);
         let nan = vec![Point::new(f64::NAN, 0.0), Point::default()];
         assert_eq!(assign_pads_with_interior(&problem, core, &nan), seed);
+    }
+
+    /// The original pair count: pads of each module by inverting the
+    /// per-pad module lists, pairs tallied in an ordered map.
+    fn reference_affinity(problem: &PlacementProblem) -> Vec<Vec<(usize, f64)>> {
+        let n_pads = problem.fixed.len();
+        let mut modules_of_pad: Vec<Vec<usize>> = vec![Vec::new(); n_pads];
+        for net in &problem.nets {
+            let pads: Vec<usize> = net
+                .iter()
+                .filter_map(|p| match p {
+                    PinRef::Fixed(i) => Some(*i),
+                    PinRef::Movable(_) => None,
+                })
+                .collect();
+            for pin in net {
+                if let PinRef::Movable(m) = pin {
+                    for &pad in &pads {
+                        modules_of_pad[pad].push(*m);
+                    }
+                }
+            }
+        }
+        let mut pads_of_module: Vec<Vec<usize>> = vec![Vec::new(); problem.movable];
+        for (pad, mods) in modules_of_pad.iter().enumerate() {
+            for &m in mods {
+                pads_of_module[m].push(pad);
+            }
+        }
+        let mut weight = std::collections::BTreeMap::new();
+        for pads in &pads_of_module {
+            for i in 0..pads.len() {
+                for j in i + 1..pads.len() {
+                    let (a, b) = (pads[i].min(pads[j]), pads[i].max(pads[j]));
+                    if a != b {
+                        *weight.entry((a, b)).or_insert(0.0) += 1.0;
+                    }
+                }
+            }
+        }
+        let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_pads];
+        for ((a, b), w) in weight {
+            adj[a].push((b, w));
+            adj[b].push((a, w));
+        }
+        adj
+    }
+
+    #[test]
+    fn affinity_matches_the_ordered_map_count() {
+        // Random problems with multi-pad nets, repeated pins, pad-only
+        // nets, and modules reaching one pad through several nets.
+        let mut rng = lily_netlist::sim::XorShift64::new(0xaff1);
+        for round in 0..40 {
+            let movable = 1 + rng.gen_index(12);
+            let n_pads = 1 + rng.gen_index(10);
+            let nets: Vec<Vec<PinRef>> = (0..rng.gen_index(4 * (round + 1)))
+                .map(|_| {
+                    (0..2 + rng.gen_index(5))
+                        .map(|_| {
+                            if rng.gen_index(3) == 0 {
+                                PinRef::Fixed(rng.gen_index(n_pads))
+                            } else {
+                                PinRef::Movable(rng.gen_index(movable))
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let problem = PlacementProblem { movable, fixed: vec![Point::default(); n_pads], nets };
+            let got = pad_affinity(&problem, &NetPads::new(&problem));
+            assert_eq!(got, reference_affinity(&problem), "round {round}");
+        }
     }
 
     #[test]

@@ -47,20 +47,23 @@ impl SubjectPlacement {
         };
 
         let fanouts = g.fanouts();
-        let orefs = g.output_ref_counts();
+        // The output pads of each driver, in declaration order, gathered
+        // in one pass over the outputs rather than one pass per node.
+        let mut output_pads: Vec<Vec<usize>> = vec![Vec::new(); g.node_count()];
+        for (oi, o) in g.outputs().iter().enumerate() {
+            output_pads[o.driver.index()].push(n_pi + oi);
+        }
         let mut nets = Vec::new();
         for n in g.node_ids() {
             let readers = &fanouts[n.index()];
-            if readers.is_empty() && orefs[n.index()] == 0 {
+            let pads = &output_pads[n.index()];
+            if readers.is_empty() && pads.is_empty() {
                 continue;
             }
-            let mut net = vec![pin_of(n)];
+            let mut net = Vec::with_capacity(1 + readers.len() + pads.len());
+            net.push(pin_of(n));
             net.extend(readers.iter().map(|&r| pin_of(r)));
-            for (oi, o) in g.outputs().iter().enumerate() {
-                if o.driver == n {
-                    net.push(PinRef::Fixed(n_pi + oi));
-                }
-            }
+            net.extend(pads.iter().map(|&pad| PinRef::Fixed(pad)));
             if net.len() >= 2 {
                 nets.push(net);
             }
@@ -184,6 +187,86 @@ mod tests {
             sp.node_positions(&g, &modules, &pads[..1]),
             Err(PlaceError::InvalidProblem { .. })
         ));
+    }
+
+    /// The original construction, which scans every primary output for
+    /// every node: the reference the linear-time one must reproduce.
+    fn reference_nets(g: &SubjectGraph) -> Vec<Vec<PinRef>> {
+        let movable_of_node = SubjectPlacement::new(g).movable_of_node;
+        let pin_of = |n: SubjectNodeId| match g.kind(n) {
+            SubjectKind::Input(pi) => PinRef::Fixed(pi),
+            _ => PinRef::Movable(movable_of_node[n.index()].unwrap()),
+        };
+        let fanouts = g.fanouts();
+        let orefs = g.output_ref_counts();
+        let mut nets = Vec::new();
+        for n in g.node_ids() {
+            let readers = &fanouts[n.index()];
+            if readers.is_empty() && orefs[n.index()] == 0 {
+                continue;
+            }
+            let mut net = vec![pin_of(n)];
+            net.extend(readers.iter().map(|&r| pin_of(r)));
+            for (oi, o) in g.outputs().iter().enumerate() {
+                if o.driver == n {
+                    net.push(PinRef::Fixed(g.inputs().len() + oi));
+                }
+            }
+            if net.len() >= 2 {
+                nets.push(net);
+            }
+        }
+        nets
+    }
+
+    #[test]
+    fn nets_match_the_per_output_scan() {
+        // One graph with every driver shape: several outputs on one
+        // driver (declared out of order with others), an output driven
+        // straight by a primary input, a driver read only by an output
+        // pad, and a dangling node.
+        let mut g = SubjectGraph::new("shapes");
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let c = g.add_input("c");
+        let n1 = g.nand2(a, b);
+        let n2 = g.nand2(n1, c);
+        let only_po = g.inv(n2);
+        let _dangling = g.nand2(a, c);
+        g.set_output("y0", n1);
+        g.set_output("y1", only_po);
+        g.set_output("y2", n1);
+        g.set_output("y3", b);
+        g.set_output("y4", n1);
+        let sp = SubjectPlacement::new(&g);
+        assert_eq!(sp.problem.nets, reference_nets(&g));
+        // n1's net: driver, its reader n2, then pads y0, y2, y4 in
+        // declaration order.
+        let n1_net = &sp.problem.nets[3];
+        assert_eq!(n1_net[0], PinRef::Movable(0));
+        assert_eq!(&n1_net[2..], &[PinRef::Fixed(3), PinRef::Fixed(5), PinRef::Fixed(7)]);
+
+        // Random graphs: shared drivers, input-driven outputs, and
+        // unread nodes arise at every size.
+        let mut rng = lily_netlist::sim::XorShift64::new(0x5eed);
+        for round in 0..20 {
+            let mut g = SubjectGraph::new("random");
+            let mut nodes: Vec<SubjectNodeId> =
+                (0..2 + round % 5).map(|i| g.add_input(format!("i{i}"))).collect();
+            for _ in 0..10 * (round + 1) {
+                let x = nodes[rng.gen_index(nodes.len())];
+                let n = if rng.gen_index(3) == 0 {
+                    g.inv(x)
+                } else {
+                    g.nand2(x, nodes[rng.gen_index(nodes.len())])
+                };
+                nodes.push(n);
+            }
+            for o in 0..1 + round {
+                g.set_output(format!("o{o}"), nodes[rng.gen_index(nodes.len())]);
+            }
+            assert_eq!(SubjectPlacement::new(&g).problem.nets, reference_nets(&g), "round {round}");
+        }
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub fn try_solve_quadratic_cancel(
     warm: &[Point],
     cancel: &CancelToken,
 ) -> Result<QuadraticSolve, PlaceError> {
-    let (solve, finite) = solve_axes(problem, anchors, warm, None, false, cancel)?;
+    let (solve, finite) = solve_axes(problem, anchors, warm, cancel)?;
     let usable = finite && solve.residual.is_finite() && solve.residual <= ACCEPTABLE_RESIDUAL;
     if !usable {
         return Err(PlaceError::SolverDiverged {
@@ -161,50 +161,30 @@ pub fn try_solve_quadratic_cancel(
     Ok(solve)
 }
 
-/// A bounded-effort quadratic solve for multilevel refinement: spends at
-/// most `max_iter` conjugate-gradient iterations per axis and accepts
-/// any *finite* result, converged or not.
-///
-/// Intermediate levels of a coarsen→interpolate→refine schedule start
-/// from a good warm start and only need a few smoothing iterations; the
-/// full-convergence residual gate of [`try_solve_quadratic`] would
-/// either reject them or force an `O(n)` iteration count per level.
-///
-/// # Errors
-///
-/// * [`PlaceError::InvalidProblem`] — validation failure.
-/// * [`PlaceError::NonFinite`] — a pad/anchor coordinate, anchor weight,
-///   or solved position is NaN/∞.
-/// * [`PlaceError::Cancelled`] — the token tripped mid-solve.
-pub fn try_refine_quadratic_cancel(
-    problem: &PlacementProblem,
-    anchors: &[Anchor],
-    warm: &[Point],
-    max_iter: usize,
-    cancel: &CancelToken,
-) -> Result<QuadraticSolve, PlaceError> {
-    let (solve, finite) = solve_axes(problem, anchors, warm, Some(max_iter), true, cancel)?;
-    if !finite {
-        return Err(PlaceError::NonFinite { context: "refined positions" });
+/// Weight of the whisper-weight anchor every module gets at the pad
+/// centroid, so isolated components stay solvable.
+pub(crate) const REGULARIZATION: f64 = 1e-6;
+
+/// The centroid of the pads (the origin when there are none): where
+/// unconnected modules settle and cold starts begin.
+pub(crate) fn pad_centroid(fixed: &[Point]) -> Point {
+    if fixed.is_empty() {
+        Point::new(0.0, 0.0)
+    } else {
+        let sx: f64 = fixed.iter().map(|p| p.x).sum();
+        let sy: f64 = fixed.iter().map(|p| p.y).sum();
+        Point::new(sx / fixed.len() as f64, sy / fixed.len() as f64)
     }
-    Ok(solve)
 }
 
-/// Shared body of the two quadratic entry points: builds the clique
-/// Laplacian and runs both axis CG solves (with `max_iter` overriding
-/// the default `4n + 200` budget when given). `fast_assembly` selects
-/// [`CsrBuilder::build_stable`] — linear-time assembly whose duplicate
-/// sums can differ from [`CsrBuilder::build`]'s in the last ulp, so
-/// only the multilevel refine path (whose bit patterns no golden pins)
-/// turns it on. Returns the solve plus a
-/// flag telling whether every solved coordinate is finite; acceptance
-/// policy (residual gate vs bounded-effort) is the caller's.
+/// Body of the quadratic entry points: builds the clique Laplacian and
+/// runs both axis CG solves with a `4n + 200` iteration budget. Returns
+/// the solve plus a flag telling whether every solved coordinate is
+/// finite; the acceptance policy is the caller's.
 fn solve_axes(
     problem: &PlacementProblem,
     anchors: &[Anchor],
     warm: &[Point],
-    max_iter: Option<usize>,
-    fast_assembly: bool,
     cancel: &CancelToken,
 ) -> Result<(QuadraticSolve, bool), PlaceError> {
     problem.validate()?;
@@ -223,13 +203,7 @@ fn solve_axes(
     {
         return Err(PlaceError::NonFinite { context: "anchor targets" });
     }
-    let centroid = if problem.fixed.is_empty() {
-        Point::new(0.0, 0.0)
-    } else {
-        let sx: f64 = problem.fixed.iter().map(|p| p.x).sum();
-        let sy: f64 = problem.fixed.iter().map(|p| p.y).sum();
-        Point::new(sx / problem.fixed.len() as f64, sy / problem.fixed.len() as f64)
-    };
+    let centroid = pad_centroid(&problem.fixed);
 
     let mut builder = CsrBuilder::new(n);
     let mut bx = vec![0.0; n];
@@ -261,23 +235,20 @@ fn solve_axes(
         bx[a.module] += a.weight * a.target.x;
         by[a.module] += a.weight * a.target.y;
     }
-    // Regularize: every module gets a whisper-weight anchor at the pad
-    // centroid so isolated components stay solvable.
-    const EPS: f64 = 1e-6;
     for i in 0..n {
-        builder.add_anchor(i, EPS);
-        bx[i] += EPS * centroid.x;
-        by[i] += EPS * centroid.y;
+        builder.add_anchor(i, REGULARIZATION);
+        bx[i] += REGULARIZATION * centroid.x;
+        by[i] += REGULARIZATION * centroid.y;
     }
 
-    let a = if fast_assembly { builder.build_stable() } else { builder.build() };
+    let a = builder.build();
     let warm_ok = warm.len() == n && warm.iter().all(|p| p.x.is_finite() && p.y.is_finite());
     let (x0, y0): (Vec<f64>, Vec<f64>) = if warm_ok {
         (warm.iter().map(|p| p.x).collect(), warm.iter().map(|p| p.y).collect())
     } else {
         (vec![centroid.x; n], vec![centroid.y; n])
     };
-    let max_iter = max_iter.unwrap_or(4 * n + 200);
+    let max_iter = 4 * n + 200;
     let cancelled = |_| PlaceError::Cancelled { context: "conjugate-gradient" };
     let sx = cg_solve_cancel(&a, &bx, &x0, 1e-8, max_iter, cancel).map_err(cancelled)?;
     let sy = cg_solve_cancel(&a, &by, &y0, 1e-8, max_iter, cancel).map_err(cancelled)?;
@@ -385,37 +356,6 @@ mod tests {
         let opt = solve_quadratic(&p, &[], &[]);
         let bad = vec![Point::new(0.0, 7.0)];
         assert!(p.quadratic_cost(&opt) < p.quadratic_cost(&bad));
-    }
-
-    #[test]
-    fn bounded_refine_accepts_unconverged_solves() {
-        // A long chain needs many CG iterations to converge; the
-        // bounded refinement solve must return the partial (finite)
-        // result instead of rejecting it as diverged.
-        let m = 32;
-        let mut nets = vec![vec![PinRef::Fixed(0), PinRef::Movable(0)]];
-        for i in 0..m - 1 {
-            nets.push(vec![PinRef::Movable(i), PinRef::Movable(i + 1)]);
-        }
-        nets.push(vec![PinRef::Movable(m - 1), PinRef::Fixed(1)]);
-        let p = PlacementProblem {
-            movable: m,
-            fixed: vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)],
-            nets,
-        };
-        let s = try_refine_quadratic_cancel(&p, &[], &[], 2, &CancelToken::never())
-            .expect("bounded refine");
-        assert!(!s.converged, "2 iterations cannot converge a 32-chain");
-        assert!(s.positions.iter().all(|pt| pt.x.is_finite() && pt.y.is_finite()));
-        assert!(s.iterations <= 4, "spent {} iterations", s.iterations);
-        // With a generous budget the same entry point converges to the
-        // strict solver's answer.
-        let full = try_refine_quadratic_cancel(&p, &[], &[], 4 * m + 200, &CancelToken::never())
-            .expect("full refine");
-        let strict = try_solve_quadratic(&p, &[], &[]).expect("strict");
-        for (a, b) in full.positions.iter().zip(&strict.positions) {
-            assert!((a.x - b.x).abs() < 1e-6 && (a.y - b.y).abs() < 1e-6);
-        }
     }
 
     #[test]

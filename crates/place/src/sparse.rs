@@ -3,9 +3,13 @@
 //!
 //! Quadratic placement reduces to solving `A x = b` with `A` the
 //! (symmetric positive definite) connectivity Laplacian augmented by the
-//! fixed-pad diagonal. Problems in this repository are on the order of a
-//! few thousand variables, so Jacobi-preconditioned CG converges in a
-//! few hundred iterations without fill-in.
+//! fixed-pad diagonal. The flat placer solves systems of up to a few
+//! thousand variables (below the flow's multilevel threshold), where
+//! Jacobi-preconditioned CG converges in a few hundred iterations
+//! without fill-in. Multilevel refinement runs a bounded number of
+//! iterations on systems of 10⁵–10⁶ variables; there the mat-vec fans
+//! rows out over worker threads and dot products reduce in fixed
+//! chunks, so results stay bitwise identical at any thread count.
 
 use lily_fault::{CancelToken, Cancelled};
 use lily_par::ParOptions;
@@ -97,61 +101,6 @@ impl CsrBuilder {
         self.add(i, i, w);
     }
 
-    /// Finalizes into CSR form in linear time: triplets are scattered
-    /// into per-row buckets by a counting pass (preserving insertion
-    /// order), then each row — a handful of entries for a placement
-    /// Laplacian — is sorted and its duplicates merged. On million-entry
-    /// systems this replaces the global comparison sort of [`build`]
-    /// with `O(nnz + Σ dᵣ log dᵣ)` work.
-    ///
-    /// The merged matrix is mathematically identical to [`build`]'s but
-    /// may differ in the last ulp: duplicate entries are summed in
-    /// insertion order here, in sort order there. Both orders are fully
-    /// deterministic; callers whose downstream bit patterns are pinned
-    /// by goldens (the flat small-N placement path) keep [`build`],
-    /// while the multilevel refine path uses this.
-    pub fn build_stable(self) -> CsrMatrix {
-        let n = self.n;
-        let mut count = vec![0usize; n + 1];
-        for &(r, _, _) in &self.triplets {
-            count[r + 1] += 1;
-        }
-        for r in 0..n {
-            count[r + 1] += count[r];
-        }
-        let mut fill = count.clone();
-        let mut bucket: Vec<(usize, f64)> = vec![(0, 0.0); self.triplets.len()];
-        for &(r, c, v) in &self.triplets {
-            bucket[fill[r]] = (c, v);
-            fill[r] += 1;
-        }
-        let mut row_ptr = vec![0usize; n + 1];
-        let mut col = Vec::with_capacity(self.triplets.len());
-        let mut val = Vec::with_capacity(self.triplets.len());
-        for r in 0..n {
-            let row = &mut bucket[count[r]..count[r + 1]];
-            // Stable by column, so duplicate values merge in insertion
-            // order — deterministic regardless of row degree.
-            row.sort_by_key(|e| e.0);
-            let mut i = 0usize;
-            while i < row.len() {
-                let (c, mut v) = row[i];
-                i += 1;
-                while i < row.len() && row[i].0 == c {
-                    v += row[i].1;
-                    i += 1;
-                }
-                row_ptr[r + 1] += 1;
-                col.push(c);
-                val.push(v);
-            }
-        }
-        for r in 0..n {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        CsrMatrix { n, row_ptr, col, val }
-    }
-
     /// Finalizes into CSR form.
     pub fn build(mut self) -> CsrMatrix {
         self.triplets.sort_unstable_by_key(|t| (t.0, t.1));
@@ -178,6 +127,21 @@ impl CsrBuilder {
 }
 
 impl CsrMatrix {
+    /// Assembles a matrix from rows given in order: `row_ptr[r]..row_ptr[r + 1]`
+    /// indexes row `r`'s columns (ascending, distinct) and values.
+    pub(crate) fn from_rows(row_ptr: Vec<usize>, col: Vec<usize>, val: Vec<f64>) -> Self {
+        debug_assert_eq!(row_ptr.last().copied(), Some(col.len()));
+        debug_assert_eq!(col.len(), val.len());
+        Self { n: row_ptr.len() - 1, row_ptr, col, val }
+    }
+
+    /// Row `r`'s stored columns and values.
+    #[cfg(test)]
+    pub(crate) fn row(&self, r: usize) -> (&[usize], &[f64]) {
+        let span = self.row_ptr[r]..self.row_ptr[r + 1];
+        (&self.col[span.clone()], &self.val[span])
+    }
+
     /// Matrix dimension.
     pub fn n(&self) -> usize {
         self.n
