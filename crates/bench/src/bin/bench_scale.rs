@@ -37,9 +37,9 @@ use lily_core::flow::FlowOptions;
 use lily_core::json::{array, JsonObject};
 use lily_fault::CancelToken;
 use lily_netlist::decompose::{decompose, DecomposeOrder};
-use lily_place::multilevel::{try_multilevel_place_cancel, MultilevelOptions};
+use lily_place::multilevel::{try_multilevel_place, MultilevelOptions};
 use lily_place::{
-    pads, try_global_place_cancel, GlobalOptions, PlacementProblem, Point, Rect, SubjectPlacement,
+    pads, try_global_place, GlobalOptions, PlacementProblem, Point, Rect, SubjectPlacement,
 };
 use lily_workloads::{scale_circuit, ScaleFamily};
 
@@ -233,7 +233,7 @@ fn bench_subject_place(
     for (i, &t) in threads.iter().enumerate() {
         lily_par::set_threads(Some(t));
         let t0 = Instant::now();
-        match try_multilevel_place_cancel(&problem, &ml_options, &CancelToken::never()) {
+        match try_multilevel_place(&problem, &ml_options) {
             Ok(mp) => {
                 if i == 0 {
                     ml_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -259,9 +259,11 @@ fn bench_subject_place(
     );
 
     // Flat CG on the same problem, under the budget.
-    let token = CancelToken::with_deadline(flat_budget);
     let t0 = Instant::now();
-    let flat = try_global_place_cancel(&problem, &GlobalOptions::for_region(core), &token);
+    let flat = {
+        let _budget = lily_fault::set_ambient(CancelToken::with_deadline(flat_budget));
+        try_global_place(&problem, &GlobalOptions::for_region(core))
+    };
     let flat_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let flat_json = match flat {
         Ok(_) => {

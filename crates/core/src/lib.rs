@@ -43,12 +43,11 @@ pub mod sizing;
 pub mod stage;
 
 pub use baseline::MisMapper;
-pub use checkpoint::run_flow_checkpointed;
 pub use cover::{MapMode, MapResult, MapStats, Partition};
 pub use cuts::{cut_matches, CutIndex, CutMapper};
 pub use error::MapError;
 pub use fanout::{buffer_fanout, FanoutOptions};
-pub use flow::{compare_flows, run_flow, FlowComparison, FlowOptions, PhysicalOptions};
+pub use flow::{compare_flows, run_flow, FlowComparison, FlowOptions, FlowRun, PhysicalOptions};
 pub use lily::{LayoutOptions, LilyMapper, MapOptions};
 pub use matching::{Match, MatchIndex};
 pub use mem::{estimate_peak_bytes, MemExceeded, MemGauge, MemReservation};

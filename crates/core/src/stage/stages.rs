@@ -11,14 +11,18 @@ use crate::cover::{MapStats, Partition};
 use crate::cuts::CutMapper;
 use crate::error::MapError;
 use crate::flow::{DetailedPlacer, FlowMapper, FlowOptions};
+use crate::json::{array, hex_f64, Json, JsonObject};
 use crate::lily::LilyMapper;
-use crate::stage::{FlowContext, MapImage, Mapper, Stage, StageArtifact};
-use lily_cells::{Library, MappedNetwork, SignalSource};
+use crate::stage::codec::{
+    encode_mapped, encode_points, encode_rect, encode_stats, hex_array, Fields,
+};
+use crate::stage::{ArtifactCodec, FlowContext, MapImage, Mapper, Stage, StageArtifact};
+use lily_cells::{CellId, Library, MappedNetwork, SignalSource};
 use lily_netlist::decompose::decompose;
 use lily_netlist::{Network, SubjectGraph};
 use lily_par::ParOptions;
-use lily_place::anneal::{try_anneal_cancel, AnnealOptions};
-use lily_place::global::{try_global_place_cancel, GlobalOptions};
+use lily_place::anneal::{try_anneal, AnnealOptions};
+use lily_place::global::{try_global_place, GlobalOptions};
 use lily_place::legalize::{improve, legalize, LegalizeOptions, Legalized};
 use lily_place::multilevel::{MultilevelOptions, MultilevelSystem};
 use lily_place::{assign_pads, PinRef, PlacementProblem, Point, Rect, SubjectPlacement};
@@ -26,6 +30,7 @@ use lily_route::congestion::{deposit_rows, STRIPE_ROWS};
 use lily_route::{rsmt_length_with, BinBox, CongestionGrid, RsmtScratch};
 use lily_timing::load::WireLoad;
 use lily_timing::sta::{try_analyze, StaOptions, StaResult};
+use lily_timing::Arrival;
 
 // ---------------------------------------------------------------------
 // Stage 1: Decompose
@@ -114,32 +119,22 @@ impl PadPlan {
     /// Builds the shared pre-mapping environment of `g`: estimated
     /// layout image sized by `grids_per_base_gate`, core region from
     /// the area model, and connectivity-driven pad assignment. This is
-    /// the one constructor for subject-graph/pad setup — the flow, the
-    /// experiments, and test fixtures all go through it.
-    pub fn build(g: &SubjectGraph, lib: &Library, options: &FlowOptions) -> Self {
-        Self::build_cancel(g, lib, options, &lily_fault::CancelToken::never())
-            .expect("a never-cancelled pad build cannot be cancelled")
-    }
-
-    /// [`PadPlan::build`] with a cancellation token threaded into the
-    /// pad-ordering placement. Above the multilevel threshold the
-    /// interior positions come from the clustered placer instead of
-    /// the flat solve inside `assign_pads` (which would dominate the
-    /// whole flow at 10⁵ modules); a failed multilevel solve falls
-    /// back to the flat path's own uniform-seed behavior. When the
-    /// configured mapper consumes the layout image, the prepared
-    /// multilevel system stays in the plan for `SubjectPlace`, which
-    /// solves it again against the assigned pads.
+    /// the one constructor for subject-graph/pad setup.
+    ///
+    /// Above the multilevel threshold the interior positions come from
+    /// the clustered placer instead of the flat solve inside
+    /// `assign_pads` (which would dominate the whole flow at 10⁵
+    /// modules); a failed multilevel solve falls back to the flat
+    /// path's own uniform-seed behavior. When the configured mapper
+    /// consumes the layout image, the prepared multilevel system stays
+    /// in the plan for `SubjectPlace`, which solves it again against
+    /// the assigned pads.
     ///
     /// # Errors
     ///
-    /// [`MapError::Cancelled`] when `cancel` fires mid-placement.
-    pub fn build_cancel(
-        g: &SubjectGraph,
-        lib: &Library,
-        options: &FlowOptions,
-        cancel: &lily_fault::CancelToken,
-    ) -> Result<Self, MapError> {
+    /// [`MapError::Cancelled`] when the calling thread's ambient
+    /// cancellation token trips mid-placement.
+    pub fn build(g: &SubjectGraph, lib: &Library, options: &FlowOptions) -> Result<Self, MapError> {
         let tech = lib.technology();
         let est_area = g.base_gate_count() as f64
             * options.physical.grids_per_base_gate
@@ -154,9 +149,8 @@ impl PadPlan {
             && core.height().is_finite()
         {
             let seed = lily_place::pads::perimeter_points(core, problem.fixed.len());
-            let solved =
-                MultilevelSystem::prepare(problem, &MultilevelOptions::for_region(core), cancel)
-                    .and_then(|prepared| system.insert(prepared).solve(&seed, cancel));
+            let solved = MultilevelSystem::prepare(problem, &MultilevelOptions::for_region(core))
+                .and_then(|prepared| system.insert(prepared).solve(&seed));
             match solved {
                 Ok(mp) => lily_place::assign_pads_with_interior(problem, core, &mp.positions),
                 Err(lily_place::PlaceError::Cancelled { context }) => {
@@ -170,12 +164,6 @@ impl PadPlan {
         placement.problem.fixed = pads;
         let system = system.filter(|_| Map::wants_image(lib, options));
         Ok(Self { est_area, core, placement, system: SystemSlot(Mutex::new(system)) })
-    }
-
-    /// A plan restored from its stored fields: `placement` must already
-    /// carry the assigned pads. It holds no prepared system.
-    pub(crate) fn restored(est_area: f64, core: Rect, placement: SubjectPlacement) -> Self {
-        Self { est_area, core, placement, system: SystemSlot::default() }
     }
 
     /// Pad positions: primary inputs first, then primary outputs.
@@ -200,6 +188,32 @@ impl StageArtifact for PadPlan {
     }
 }
 
+impl<'a> ArtifactCodec<&'a SubjectGraph> for PadPlan {
+    fn encode(&self, _lib: &Library) -> String {
+        JsonObject::new()
+            .string("est_area", &hex_f64(self.est_area))
+            .raw("core", &encode_rect(self.core))
+            .raw("pads", &encode_points(self.pads()))
+            .finish()
+    }
+
+    /// Only the measured fields are stored; the placement problem is a
+    /// pure function of the subject graph and is rebuilt. The prepared
+    /// multilevel system is not restored (`SubjectPlace` prepares it
+    /// afresh).
+    fn decode(v: &Json, _lib: &Library, g: &&'a SubjectGraph) -> Result<Self, String> {
+        let est_area = v.hex_field("est_area")?;
+        let core = v.rect("core")?;
+        let pads = v.points("pads")?;
+        if pads.len() != g.inputs().len() + g.outputs().len() {
+            return Err("pad count does not match the subject graph".to_string());
+        }
+        let mut placement = SubjectPlacement::new(g);
+        placement.problem.fixed = pads;
+        Ok(Self { est_area, core, placement, system: SystemSlot::default() })
+    }
+}
+
 /// Pad assignment: subject graph → [`PadPlan`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AssignPads;
@@ -212,8 +226,7 @@ impl<'a> Stage<&'a SubjectGraph> for AssignPads {
     }
 
     fn run(&self, ctx: &mut FlowContext<'_>, g: &'a SubjectGraph) -> Result<Self::Out, MapError> {
-        let cancel = ctx.cancel.clone();
-        PadPlan::build_cancel(g, ctx.lib, &ctx.options, &cancel)
+        PadPlan::build(g, ctx.lib, &ctx.options)
     }
 }
 
@@ -244,6 +257,34 @@ impl StageArtifact for SubjectImage {
     }
 }
 
+impl<'a> ArtifactCodec<(&'a SubjectGraph, &'a PadPlan)> for SubjectImage {
+    fn encode(&self, _lib: &Library) -> String {
+        let o = JsonObject::new();
+        let o = match &self.positions {
+            Some(points) => o.raw("positions", &encode_points(points)),
+            None => o.raw("positions", "null"),
+        };
+        match &self.failure {
+            Some(f) => o.string("failure", f),
+            None => o.raw("failure", "null"),
+        }
+        .finish()
+    }
+
+    fn decode(
+        v: &Json,
+        _lib: &Library,
+        _input: &(&'a SubjectGraph, &'a PadPlan),
+    ) -> Result<Self, String> {
+        let positions = v.nullable("positions")?.map(|_| v.points("positions")).transpose()?;
+        let failure = v
+            .nullable("failure")?
+            .map(|f| f.as_str().map(str::to_string).ok_or_else(|| "bad failure field".to_string()))
+            .transpose()?;
+        Ok(Self { positions, failure })
+    }
+}
+
 /// Subject placement: pad plan → layout image of the inchoate network.
 /// Runs only when the selected mapper consumes the image.
 #[derive(Debug, Clone, Copy, Default)]
@@ -261,7 +302,6 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan)> for SubjectPlace {
         ctx: &mut FlowContext<'_>,
         (g, plan): (&'a SubjectGraph, &'a PadPlan),
     ) -> Result<Self::Out, MapError> {
-        let cancel = ctx.cancel.clone();
         // Take the prepared system whatever happens, so it is freed here.
         let system = plan.system.take();
         let solved = if ctx.armed.take_solver_diverged() {
@@ -273,7 +313,7 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan)> for SubjectPlace {
         } else if ctx.armed.take_nan() {
             Err(lily_place::PlaceError::NonFinite { context: "injected layout-image poison" })
         } else if plan.est_area.is_finite() {
-            place_globally(&plan.placement.problem, plan.core, &ctx.options, system, &cancel)
+            place_globally(&plan.placement.problem, plan.core, &ctx.options, system)
         } else {
             Err(lily_place::PlaceError::NonFinite { context: "estimated core area" })
         };
@@ -325,6 +365,31 @@ impl StageArtifact for Mapping {
 
     fn unit(&self) -> &'static str {
         "cells"
+    }
+}
+
+impl<'a> ArtifactCodec<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Mapping {
+    fn encode(&self, lib: &Library) -> String {
+        JsonObject::new()
+            .raw("mapped", &encode_mapped(&self.mapped, lib))
+            .raw("stats", &encode_stats(&self.stats))
+            .raw("constructive", if self.constructive { "true" } else { "false" })
+            .finish()
+    }
+
+    fn decode(
+        v: &Json,
+        lib: &Library,
+        _input: &(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>),
+    ) -> Result<Self, String> {
+        Ok(Self {
+            mapped: v.field("mapped")?.mapped_network(lib)?,
+            stats: v.field("stats")?.map_stats()?,
+            constructive: v
+                .get("constructive")
+                .and_then(Json::as_bool)
+                .ok_or_else(|| "missing constructive".to_string())?,
+        })
     }
 }
 
@@ -483,6 +548,75 @@ impl StageArtifact for LegalPlacement {
     }
 }
 
+impl<'a> ArtifactCodec<(&'a PadPlan, Mapping)> for LegalPlacement {
+    fn encode(&self, lib: &Library) -> String {
+        let o = JsonObject::new()
+            .raw("mapped", &encode_mapped(&self.mapped, lib))
+            .raw("core", &encode_rect(self.core))
+            .raw("stats", &encode_stats(&self.stats));
+        let legal = self.legal.as_ref().map_or_else(
+            || "null".to_string(),
+            |legal| {
+                JsonObject::new()
+                    .raw("positions", &encode_points(&legal.positions))
+                    .raw(
+                        "rows",
+                        &array(
+                            legal.rows.iter().map(|row| array(row.iter().map(|c| c.to_string()))),
+                        ),
+                    )
+                    .raw("row_y", &hex_array(legal.row_y.iter().copied()))
+                    .finish()
+            },
+        );
+        o.raw("legal", &legal).finish()
+    }
+
+    /// Widths, the placement problem, and the fixed pad list are all
+    /// pure functions of the restored netlist and library; only the
+    /// measured pieces (netlist, core, stats, legalized rows) are
+    /// stored.
+    fn decode(v: &Json, lib: &Library, _input: &(&'a PadPlan, Mapping)) -> Result<Self, String> {
+        let mapped = v.field("mapped")?.mapped_network(lib)?;
+        let core = v.rect("core")?;
+        let stats = v.field("stats")?.map_stats()?;
+        let legal = match v.nullable("legal")? {
+            None => None,
+            Some(l) => {
+                let positions = l.points("positions")?;
+                let rows = l
+                    .array_field("rows")?
+                    .iter()
+                    .map(|row| {
+                        row.as_array()
+                            .ok_or_else(|| "bad row".to_string())?
+                            .iter()
+                            .map(|c| c.as_usize().ok_or_else(|| "bad row cell".to_string()))
+                            .collect::<Result<Vec<_>, _>>()
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let row_y = l.hex_array("row_y")?;
+                if positions.len() != mapped.cell_count() {
+                    return Err("legalized position count mismatch".to_string());
+                }
+                if rows.iter().flatten().any(|&c| c >= mapped.cell_count()) {
+                    return Err("legalized row references missing cell".to_string());
+                }
+                Some(Legalized { positions, rows, row_y })
+            }
+        };
+        let tech = lib.technology();
+        let widths: Vec<f64> = mapped
+            .cells()
+            .iter()
+            .map(|c| lib.gate(c.gate).grids() as f64 * tech.grid_width)
+            .collect();
+        let (problem, _) = mapped_problem(&mapped);
+        let fixed = pad_points(&mapped);
+        Ok(Self { mapped, core, stats, widths, problem, fixed, legal })
+    }
+}
+
 /// Legalization: mapped netlist → row-legal placement. Sizes the final
 /// core from the real mapped area, rescales the pads onto it, globally
 /// places the netlist when the mapper left no constructive placement,
@@ -526,7 +660,7 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
                     residual: f64::NAN,
                 })
             } else {
-                place_globally(&problem, core, &options, None, &ctx.cancel)
+                place_globally(&problem, core, &options, None)
             };
             match solved {
                 Ok(pts) => {
@@ -576,12 +710,7 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
             );
         }
         let (problem, _) = mapped_problem(&mapped);
-        let fixed: Vec<Point> = mapped
-            .input_positions
-            .iter()
-            .chain(mapped.output_positions.iter())
-            .map(|&(x, y)| Point::new(x, y))
-            .collect();
+        let fixed = pad_points(&mapped);
         let legal = if widths.is_empty() {
             None
         } else {
@@ -620,7 +749,7 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
                         }
                     };
                     let aopts = AnnealOptions { seed, max_moves, ..AnnealOptions::for_core(core) };
-                    match try_anneal_cancel(&mut pts, &problem.nets, &fixed, &aopts, &ctx.cancel) {
+                    match try_anneal(&mut pts, &problem.nets, &fixed, &aopts) {
                         Err(lily_place::PlaceError::Cancelled { context }) => {
                             return Err(MapError::Cancelled { context });
                         }
@@ -672,6 +801,24 @@ impl StageArtifact for PlacedDesign {
 
     fn unit(&self) -> &'static str {
         "cells"
+    }
+}
+
+impl ArtifactCodec<LegalPlacement> for PlacedDesign {
+    fn encode(&self, lib: &Library) -> String {
+        JsonObject::new()
+            .raw("mapped", &encode_mapped(&self.mapped, lib))
+            .raw("core", &encode_rect(self.core))
+            .raw("stats", &encode_stats(&self.stats))
+            .finish()
+    }
+
+    fn decode(v: &Json, lib: &Library, _input: &LegalPlacement) -> Result<Self, String> {
+        Ok(Self {
+            mapped: v.field("mapped")?.mapped_network(lib)?,
+            core: v.rect("core")?,
+            stats: v.field("stats")?.map_stats()?,
+        })
     }
 }
 
@@ -745,8 +892,9 @@ impl Stage<LegalPlacement> for DetailedPlace {
 // Stage 7: RouteEstimate
 // ---------------------------------------------------------------------
 
-/// The routing estimate's output figures.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The routing estimate's output figures (all zero for a design with
+/// nothing to route).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RouteFigures {
     /// Total routed interconnection length, µm.
     pub wire_length: f64,
@@ -769,6 +917,30 @@ impl StageArtifact for RouteFigures {
 
     fn unit(&self) -> &'static str {
         "nets"
+    }
+}
+
+impl<'a> ArtifactCodec<&'a PlacedDesign> for RouteFigures {
+    fn encode(&self, _lib: &Library) -> String {
+        JsonObject::new()
+            .string("wire_length", &hex_f64(self.wire_length))
+            .string("instance_area", &hex_f64(self.instance_area))
+            .string("chip_area", &hex_f64(self.chip_area))
+            .string("chip_area_channeled", &hex_f64(self.chip_area_channeled))
+            .string("peak_congestion", &hex_f64(self.peak_congestion))
+            .uint("nets", self.nets as u64)
+            .finish()
+    }
+
+    fn decode(v: &Json, _lib: &Library, _placed: &&'a PlacedDesign) -> Result<Self, String> {
+        Ok(Self {
+            wire_length: v.hex_field("wire_length")?,
+            instance_area: v.hex_field("instance_area")?,
+            chip_area: v.hex_field("chip_area")?,
+            chip_area_channeled: v.hex_field("chip_area_channeled")?,
+            peak_congestion: v.hex_field("peak_congestion")?,
+            nets: v.usize_field("nets")?,
+        })
     }
 }
 
@@ -898,6 +1070,47 @@ impl StageArtifact for TimingArtifact {
     }
 }
 
+impl<'a> ArtifactCodec<&'a PlacedDesign> for TimingArtifact {
+    fn encode(&self, _lib: &Library) -> String {
+        let arrivals = |a: &[Arrival]| hex_array(a.iter().flat_map(|a| [a.rise, a.fall]));
+        let sta = &self.sta;
+        JsonObject::new()
+            .raw("cell_arrival", &arrivals(&sta.cell_arrival))
+            .raw("output_arrival", &arrivals(&sta.output_arrival))
+            .string("critical_delay", &hex_f64(sta.critical_delay))
+            .uint("critical_output", sta.critical_output as u64)
+            .raw("critical_path", &array(sta.critical_path.iter().map(|c| c.index().to_string())))
+            .raw("cell_slack", &hex_array(sta.cell_slack.iter().copied()))
+            .uint("cells", self.cells as u64)
+            .finish()
+    }
+
+    fn decode(v: &Json, _lib: &Library, _placed: &&'a PlacedDesign) -> Result<Self, String> {
+        let arrivals = |key: &str| -> Result<Vec<Arrival>, String> {
+            let pairs = v.pairs(key, "arrival")?;
+            Ok(pairs.into_iter().map(|(rise, fall)| Arrival { rise, fall }).collect())
+        };
+        let critical_path = v
+            .array_field("critical_path")?
+            .iter()
+            .map(|c| {
+                c.as_usize().map(CellId::from_index).ok_or_else(|| "bad critical path".to_string())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            sta: StaResult {
+                cell_arrival: arrivals("cell_arrival")?,
+                output_arrival: arrivals("output_arrival")?,
+                critical_delay: v.hex_field("critical_delay")?,
+                critical_output: v.usize_field("critical_output")?,
+                critical_path,
+                cell_slack: v.hex_array("cell_slack")?,
+            },
+            cells: v.usize_field("cells")?,
+        })
+    }
+}
+
 /// Static timing analysis with the wire-load degradation ladder:
 /// placement-derived loads, then the MIS per-fanout model, then no
 /// wire load at all. Each step down is recorded; only a failure of the
@@ -1000,20 +1213,26 @@ fn place_globally(
     region: Rect,
     options: &FlowOptions,
     prepared: Option<MultilevelSystem>,
-    cancel: &lily_fault::CancelToken,
 ) -> Result<Vec<Point>, lily_place::PlaceError> {
     if problem.movable >= options.physical.multilevel_threshold {
         let system = match prepared {
             Some(system) => system,
-            None => {
-                MultilevelSystem::prepare(problem, &MultilevelOptions::for_region(region), cancel)?
-            }
+            None => MultilevelSystem::prepare(problem, &MultilevelOptions::for_region(region))?,
         };
-        system.solve(&problem.fixed, cancel).map(|mp| mp.positions)
+        system.solve(&problem.fixed).map(|mp| mp.positions)
     } else {
-        try_global_place_cancel(problem, &GlobalOptions::for_region(region), cancel)
-            .map(|gp| gp.positions)
+        try_global_place(problem, &GlobalOptions::for_region(region)).map(|gp| gp.positions)
     }
+}
+
+/// The pad positions of a mapped netlist (inputs, then outputs).
+fn pad_points(mapped: &MappedNetwork) -> Vec<Point> {
+    mapped
+        .input_positions
+        .iter()
+        .chain(mapped.output_positions.iter())
+        .map(|&(x, y)| Point::new(x, y))
+        .collect()
 }
 
 /// Linearly maps a point from one core region onto another.

@@ -2,7 +2,7 @@
 //! bit-identical at any thread count, injected transient failures are
 //! retried and recovered, deadlines convert cooperative cancellation
 //! into typed `StageDeadline` errors, and the merged degradation audit
-//! of `compare_flows_chaos` is thread-count-invariant.
+//! of a comparison under a fault plan is thread-count-invariant.
 //!
 //! These tests flip the process-global `lily_par` thread override, but
 //! every assertion is an *equality across thread counts* — the
@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use lily_cells::Library;
-use lily_core::flow::{compare_flows_chaos, run_flow_chaos, FlowOptions, FlowResult};
+use lily_core::flow::{FlowOptions, FlowResult, FlowRun};
 use lily_core::MapError;
 use lily_fault::{FaultKind, FaultPlan, FaultReport};
 use lily_workloads::circuits;
@@ -27,11 +27,16 @@ fn mixed_benign_plan() -> FaultPlan {
     plan
 }
 
+/// The run policy that arms `plan`.
+fn chaos(plan: &FaultPlan) -> FlowRun {
+    FlowRun { faults: plan.clone(), ..FlowRun::default() }
+}
+
 fn run_at(threads: usize, opts: &FlowOptions, plan: &FaultPlan) -> (FlowResult, FaultReport) {
     let lib = Library::big();
     let net = circuits::misex1();
     lily_par::set_threads(Some(threads));
-    let (result, report) = run_flow_chaos(&net, &lib, opts, plan);
+    let (result, report) = chaos(plan).single(&net, &lib, opts);
     lily_par::set_threads(None);
     (result.expect("benign plan must not fail the flow"), report)
 }
@@ -75,7 +80,7 @@ fn injected_stage_error_is_retried_and_recovers() {
     let mut plan = FaultPlan::new();
     plan.push("map", 0, FaultKind::StageError);
 
-    let (result, report) = run_flow_chaos(&net, &lib, &opts, &plan);
+    let (result, report) = chaos(&plan).single(&net, &lib, &opts);
     let run = result.expect("a single transient stage error must be retried away");
     assert_eq!(report.error_class(), 1, "the injected stage error must fire exactly once");
     assert!(run.metrics.retries >= 1, "recovery must be visible in the retry counter");
@@ -99,7 +104,7 @@ fn injected_errors_beyond_the_retry_budget_stay_typed() {
     for invocation in 0..=opts.stage_retries {
         plan.push("decompose", invocation, FaultKind::StageError);
     }
-    let (result, report) = run_flow_chaos(&net, &lib, &opts, &plan);
+    let (result, report) = chaos(&plan).single(&net, &lib, &opts);
     match result {
         Err(MapError::FaultInjected { stage: "decompose", .. }) => {}
         other => panic!("expected FaultInjected for decompose, got {other:?}"),
@@ -140,7 +145,7 @@ fn latency_fault_trips_a_real_deadline_then_recovers() {
     opts.stage_deadline = Some(Duration::from_millis(1500));
     let mut plan = FaultPlan::new();
     plan.push("map", 0, FaultKind::Latency(2500));
-    let (result, report) = run_flow_chaos(&net, &lib, &opts, &plan);
+    let (result, report) = chaos(&plan).single(&net, &lib, &opts);
     let run = result.expect("the retry must clear the latency fault");
     let latency_fired =
         report.fired.iter().filter(|f| matches!(f.kind, FaultKind::Latency(_))).count();
@@ -157,7 +162,7 @@ fn compare_flows_chaos_audit_is_identical_at_any_thread_count() {
     let plan = mixed_benign_plan();
 
     lily_par::set_threads(Some(1));
-    let (base, base_report) = compare_flows_chaos(&net, &lib, &opts, &plan);
+    let (base, base_report) = chaos(&plan).compare(&net, &lib, &opts);
     lily_par::set_threads(None);
     let base = base.expect("benign plan must not fail the comparison");
     assert!(
@@ -178,7 +183,7 @@ fn compare_flows_chaos_audit_is_identical_at_any_thread_count() {
 
     for threads in [2usize, 8] {
         lily_par::set_threads(Some(threads));
-        let (cmp, report) = compare_flows_chaos(&net, &lib, &opts, &plan);
+        let (cmp, report) = chaos(&plan).compare(&net, &lib, &opts);
         lily_par::set_threads(None);
         let cmp = cmp.expect("benign plan must not fail the comparison");
         assert_eq!(report, base_report, "fired report differs at {threads} threads");

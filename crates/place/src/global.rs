@@ -12,7 +12,7 @@
 use crate::error::PlaceError;
 use crate::fm::{refine, FmInstance, FmOptions};
 use crate::geom::{Point, Rect};
-use crate::quadratic::{try_solve_quadratic_cancel, Anchor, PinRef, PlacementProblem};
+use crate::quadratic::{try_solve_quadratic_under, Anchor, PinRef, PlacementProblem};
 use lily_fault::CancelToken;
 
 /// Options for [`try_global_place`].
@@ -62,7 +62,9 @@ pub struct GlobalPlacement {
 /// [`GlobalOptions::max_levels`]; each quadratic solve is additionally
 /// guarded by the conjugate-gradient iteration budget and NaN detection
 /// of [`try_solve_quadratic`], and the region the solver must place into
-/// is checked for finite geometry up front.
+/// is checked for finite geometry up front. The calling thread's
+/// ambient cancellation token is polled once per CG iteration and once
+/// per partitioning level.
 ///
 /// # Errors
 ///
@@ -70,22 +72,17 @@ pub struct GlobalPlacement {
 /// * [`PlaceError::NonFinite`] — the core region or a pad coordinate is
 ///   NaN/∞.
 /// * [`PlaceError::SolverDiverged`] — a quadratic solve diverged.
+/// * [`PlaceError::Cancelled`] — the ambient token tripped.
 pub fn try_global_place(
     problem: &PlacementProblem,
     opts: &GlobalOptions,
 ) -> Result<GlobalPlacement, PlaceError> {
-    try_global_place_cancel(problem, opts, &CancelToken::never())
+    try_global_place_under(problem, opts, &lily_fault::ambient_token())
 }
 
-/// [`try_global_place`] with a cooperative cancellation token, polled
-/// once per conjugate-gradient iteration and once per partitioning
-/// level.
-///
-/// # Errors
-///
-/// Everything [`try_global_place`] reports, plus
-/// [`PlaceError::Cancelled`] when the token trips mid-placement.
-pub fn try_global_place_cancel(
+/// [`try_global_place`] polling `cancel`: the body the multilevel
+/// placer calls with the token its public entry point snapshot.
+pub(crate) fn try_global_place_under(
     problem: &PlacementProblem,
     opts: &GlobalOptions,
     cancel: &CancelToken,
@@ -104,7 +101,7 @@ pub fn try_global_place_cancel(
         return Err(PlaceError::NonFinite { context: "core region" });
     }
     let mut cg_iterations = 0usize;
-    let first = try_solve_quadratic_cancel(problem, &[], &[], cancel)?;
+    let first = try_solve_quadratic_under(problem, &[], &[], cancel)?;
     cg_iterations += first.iterations;
     let mut positions = first.positions;
     let mut regions: Vec<(Rect, Vec<usize>)> = vec![(opts.region, (0..n).collect())];
@@ -149,7 +146,7 @@ pub fn try_global_place_cancel(
         if cancel.is_cancelled() {
             return Err(PlaceError::Cancelled { context: "global-placement" });
         }
-        let solve = try_solve_quadratic_cancel(problem, &anchors, &positions, cancel)?;
+        let solve = try_solve_quadratic_under(problem, &anchors, &positions, cancel)?;
         cg_iterations += solve.iterations;
         positions = solve.positions;
     }

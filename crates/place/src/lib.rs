@@ -41,16 +41,16 @@ pub mod problem;
 pub mod quadratic;
 pub mod sparse;
 
-pub use anneal::{try_anneal, try_anneal_cancel, AnnealOptions, AnnealStats};
+pub use anneal::{try_anneal, AnnealOptions, AnnealStats};
 pub use area::AreaModel;
 pub use error::PlaceError;
 pub use fm::{cut_size, refine as fm_refine, FmInstance, FmOptions};
 pub use geom::{Point, Rect};
-pub use global::{try_global_place, try_global_place_cancel, GlobalOptions};
+pub use global::{try_global_place, GlobalOptions};
 pub use multilevel::{
-    try_multilevel_place, try_multilevel_place_cancel, ClusterHierarchy, ClusterLevel,
-    MultilevelOptions, MultilevelPlacement, MultilevelSystem,
+    try_multilevel_place, ClusterHierarchy, ClusterLevel, MultilevelOptions, MultilevelPlacement,
+    MultilevelSystem,
 };
 pub use pads::{assign_pads, assign_pads_with_interior};
 pub use problem::SubjectPlacement;
-pub use quadratic::{try_solve_quadratic, try_solve_quadratic_cancel, PinRef, PlacementProblem};
+pub use quadratic::{try_solve_quadratic, PinRef, PlacementProblem};

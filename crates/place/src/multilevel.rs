@@ -34,9 +34,9 @@
 
 use crate::error::PlaceError;
 use crate::geom::{Point, Rect};
-use crate::global::{try_global_place_cancel, GlobalOptions};
+use crate::global::{try_global_place_under, GlobalOptions};
 use crate::quadratic::{pad_centroid, PinRef, PlacementProblem, REGULARIZATION};
-use crate::sparse::{cg_solve_cancel, CsrMatrix};
+use crate::sparse::{cg_solve_under, CsrMatrix};
 use lily_fault::CancelToken;
 use lily_par::ParOptions;
 
@@ -141,27 +141,14 @@ pub struct MultilevelPlacement {
 /// * [`PlaceError::NonFinite`] — the core region, a pad coordinate, or
 ///   a refined position is NaN/∞.
 /// * [`PlaceError::SolverDiverged`] — the coarsest-level solve diverged.
+/// * [`PlaceError::Cancelled`] — the calling thread's ambient
+///   cancellation token tripped (it is polled once per coarsening and
+///   refinement level and once per CG iteration).
 pub fn try_multilevel_place(
     problem: &PlacementProblem,
     opts: &MultilevelOptions,
 ) -> Result<MultilevelPlacement, PlaceError> {
-    try_multilevel_place_cancel(problem, opts, &CancelToken::never())
-}
-
-/// [`try_multilevel_place`] with a cooperative cancellation token,
-/// polled once per coarsening/refinement level and once per CG
-/// iteration inside the solves.
-///
-/// # Errors
-///
-/// Everything [`try_multilevel_place`] reports, plus
-/// [`PlaceError::Cancelled`] when the token trips mid-placement.
-pub fn try_multilevel_place_cancel(
-    problem: &PlacementProblem,
-    opts: &MultilevelOptions,
-    cancel: &CancelToken,
-) -> Result<MultilevelPlacement, PlaceError> {
-    MultilevelSystem::prepare(problem, opts, cancel)?.solve(&problem.fixed, cancel)
+    MultilevelSystem::prepare(problem, opts)?.solve(&problem.fixed)
 }
 
 /// The pad-independent half of a multilevel placement: the cluster
@@ -326,9 +313,9 @@ impl LevelSystem {
         let y0: Vec<f64> = interpolated.iter().map(|p| p.y).collect();
         let cancelled = |_| PlaceError::Cancelled { context: "conjugate-gradient" };
         let sx =
-            cg_solve_cancel(&self.matrix, &bx, &x0, 1e-8, max_iter, cancel).map_err(cancelled)?;
+            cg_solve_under(&self.matrix, &bx, &x0, 1e-8, max_iter, cancel).map_err(cancelled)?;
         let sy =
-            cg_solve_cancel(&self.matrix, &by, &y0, 1e-8, max_iter, cancel).map_err(cancelled)?;
+            cg_solve_under(&self.matrix, &by, &y0, 1e-8, max_iter, cancel).map_err(cancelled)?;
         if !(sx.x.iter().all(|v| v.is_finite()) && sy.x.iter().all(|v| v.is_finite())) {
             return Err(PlaceError::NonFinite { context: "refined positions" });
         }
@@ -360,12 +347,13 @@ impl MultilevelSystem {
     /// * [`PlaceError::InvalidOptions`] — a zero `coarse_target` or
     ///   `refine_iters`, or a non-finite anchor weight.
     /// * [`PlaceError::NonFinite`] — the core region is NaN/∞.
-    /// * [`PlaceError::Cancelled`] — the token tripped mid-coarsening.
+    /// * [`PlaceError::Cancelled`] — the calling thread's ambient
+    ///   cancellation token tripped mid-coarsening.
     pub fn prepare(
         problem: &PlacementProblem,
         opts: &MultilevelOptions,
-        cancel: &CancelToken,
     ) -> Result<Self, PlaceError> {
+        let cancel = lily_fault::ambient_token();
         problem.validate()?;
         if opts.coarse_target == 0 || opts.refine_iters == 0 || opts.refine_iters_floor == 0 {
             return Err(PlaceError::InvalidOptions {
@@ -432,12 +420,10 @@ impl MultilevelSystem {
     ///   anchor, or a refined position is NaN/∞.
     /// * [`PlaceError::SolverDiverged`] — the coarsest-level solve
     ///   diverged.
-    /// * [`PlaceError::Cancelled`] — the token tripped mid-placement.
-    pub fn solve(
-        &self,
-        pads: &[Point],
-        cancel: &CancelToken,
-    ) -> Result<MultilevelPlacement, PlaceError> {
+    /// * [`PlaceError::Cancelled`] — the calling thread's ambient
+    ///   cancellation token tripped mid-placement.
+    pub fn solve(&self, pads: &[Point]) -> Result<MultilevelPlacement, PlaceError> {
+        let cancel = lily_fault::ambient_token();
         if pads.len() != self.n_pads {
             return Err(PlaceError::InvalidProblem {
                 message: format!("{} pad positions for {} pads", pads.len(), self.n_pads),
@@ -458,7 +444,7 @@ impl MultilevelSystem {
 
         // Solve the coarsest level with the flat partitioning placer.
         let coarsest = PlacementProblem { fixed: pads.to_vec(), ..self.coarsest.clone() };
-        let g = try_global_place_cancel(&coarsest, &GlobalOptions::for_region(r), cancel)?;
+        let g = try_global_place_under(&coarsest, &GlobalOptions::for_region(r), &cancel)?;
         let mut cg_iterations = g.cg_iterations;
         let mut positions = g.positions;
         let mut level_positions: Vec<Vec<Point>> = vec![positions.clone()];
@@ -484,7 +470,7 @@ impl MultilevelSystem {
                 &interpolated,
                 self.opts.refine_anchor_weight,
                 iters,
-                cancel,
+                &cancel,
             )?;
             cg_iterations += spent;
             positions = refined.into_iter().map(|p| r.clamp(p)).collect();
@@ -768,7 +754,8 @@ mod tests {
         let p = grid_problem(20, core);
         let token = CancelToken::new();
         token.cancel();
-        let got = try_multilevel_place_cancel(&p, &MultilevelOptions::for_region(core), &token);
+        let _scope = lily_fault::set_ambient(token);
+        let got = try_multilevel_place(&p, &MultilevelOptions::for_region(core));
         assert!(matches!(got, Err(PlaceError::Cancelled { .. })), "{got:?}");
     }
 
@@ -777,13 +764,13 @@ mod tests {
         let core = Rect::new(0.0, 0.0, 800.0, 800.0);
         let p = grid_problem(24, core);
         let opts = MultilevelOptions::for_region(core);
-        let system = MultilevelSystem::prepare(&p, &opts, &CancelToken::never()).expect("prepare");
+        let system = MultilevelSystem::prepare(&p, &opts).expect("prepare");
         let mut rotated = p.fixed.clone();
         rotated.rotate_left(1);
         for pads in [p.fixed.clone(), rotated] {
             let fresh = PlacementProblem { fixed: pads.clone(), ..p.clone() };
             let want = try_multilevel_place(&fresh, &opts).expect("fresh");
-            let got = system.solve(&pads, &CancelToken::never()).expect("prepared");
+            let got = system.solve(&pads).expect("prepared");
             assert!(!got.hierarchy.levels.is_empty());
             assert_eq!(got.hierarchy, want.hierarchy);
             assert_eq!(got.cg_iterations, want.cg_iterations);
@@ -793,15 +780,16 @@ mod tests {
             assert_eq!(bits(&got), bits(&want));
         }
         // Every solve re-checks its pads.
-        let short = system.solve(&p.fixed[1..], &CancelToken::never());
+        let short = system.solve(&p.fixed[1..]);
         assert!(matches!(short, Err(PlaceError::InvalidProblem { .. })), "{short:?}");
         let mut nan = p.fixed.clone();
         nan[2].y = f64::NAN;
-        let got = system.solve(&nan, &CancelToken::never());
+        let got = system.solve(&nan);
         assert!(matches!(got, Err(PlaceError::NonFinite { context: "pad coordinates" })));
         let token = CancelToken::new();
         token.cancel();
-        let got = system.solve(&p.fixed, &token);
+        let _scope = lily_fault::set_ambient(token);
+        let got = system.solve(&p.fixed);
         assert!(matches!(got, Err(PlaceError::Cancelled { .. })), "{got:?}");
     }
 

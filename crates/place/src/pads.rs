@@ -9,7 +9,7 @@
 //! sits on the side of the core its logic gravitates to.
 
 use crate::geom::{Point, Rect};
-use crate::quadratic::{try_solve_quadratic, PinRef, PlacementProblem};
+use crate::quadratic::{try_solve_quadratic_under, PinRef, PlacementProblem};
 
 /// `n` evenly spaced positions along the perimeter of `core`, starting
 /// at the middle of the left edge and proceeding counter-clockwise.
@@ -72,7 +72,10 @@ pub fn assign_pads(problem: &PlacementProblem, core: Rect) -> Vec<Point> {
     // Seed: uniform boundary slots in declaration order.
     let seed = perimeter_points(core, n_pads);
     let seeded = PlacementProblem { fixed: seed.clone(), ..problem.clone() };
-    let positions = match try_solve_quadratic(&seeded, &[], &[]) {
+    // The ordering solve is not cancellable: it always completes (or
+    // falls back to the seed), whatever the caller's ambient token.
+    let never = lily_fault::CancelToken::never();
+    let positions = match try_solve_quadratic_under(&seeded, &[], &[], &never) {
         Ok(solve) => solve.positions,
         Err(_) => return seed,
     };
@@ -345,7 +348,7 @@ mod tests {
         let problem = PlacementProblem { movable: 3, fixed: vec![Point::default(); 8], nets };
         let seed = perimeter_points(core, 8);
         let seeded = PlacementProblem { fixed: seed, ..problem.clone() };
-        let interior = try_solve_quadratic(&seeded, &[], &[]).unwrap().positions;
+        let interior = crate::quadratic::try_solve_quadratic(&seeded, &[], &[]).unwrap().positions;
         assert_eq!(
             assign_pads_with_interior(&problem, core, &interior),
             assign_pads(&problem, core)

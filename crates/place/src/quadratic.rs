@@ -8,7 +8,7 @@
 
 use crate::error::PlaceError;
 use crate::geom::Point;
-use crate::sparse::{cg_solve_cancel, CsrBuilder};
+use crate::sparse::{cg_solve_under, CsrBuilder};
 use lily_fault::CancelToken;
 
 /// A pin of a placement net.
@@ -119,7 +119,8 @@ const ACCEPTABLE_RESIDUAL: f64 = 1e-3;
 /// Modules with no connectivity at all sit at the centroid of the fixed
 /// pads (the Laplacian row is regularized with a tiny anchor there).
 /// Start from `warm` (pass an empty slice for a cold start at the pad
-/// centroid).
+/// centroid). The calling thread's ambient cancellation token is
+/// polled once per CG iteration.
 ///
 /// # Errors
 ///
@@ -128,22 +129,18 @@ const ACCEPTABLE_RESIDUAL: f64 = 1e-3;
 ///   is NaN/∞.
 /// * [`PlaceError::SolverDiverged`] — CG blew up or stalled with a
 ///   relative residual above `1e-3`.
+/// * [`PlaceError::Cancelled`] — the ambient token tripped mid-solve.
 pub fn try_solve_quadratic(
     problem: &PlacementProblem,
     anchors: &[Anchor],
     warm: &[Point],
 ) -> Result<QuadraticSolve, PlaceError> {
-    try_solve_quadratic_cancel(problem, anchors, warm, &CancelToken::never())
+    try_solve_quadratic_under(problem, anchors, warm, &lily_fault::ambient_token())
 }
 
-/// [`try_solve_quadratic`] with a cooperative cancellation token,
-/// polled once per CG iteration.
-///
-/// # Errors
-///
-/// Everything [`try_solve_quadratic`] reports, plus
-/// [`PlaceError::Cancelled`] when the token trips mid-solve.
-pub fn try_solve_quadratic_cancel(
+/// [`try_solve_quadratic`] polling `cancel`: the body the placers call
+/// with the token their public entry point snapshot.
+pub(crate) fn try_solve_quadratic_under(
     problem: &PlacementProblem,
     anchors: &[Anchor],
     warm: &[Point],
@@ -250,8 +247,8 @@ fn solve_axes(
     };
     let max_iter = 4 * n + 200;
     let cancelled = |_| PlaceError::Cancelled { context: "conjugate-gradient" };
-    let sx = cg_solve_cancel(&a, &bx, &x0, 1e-8, max_iter, cancel).map_err(cancelled)?;
-    let sy = cg_solve_cancel(&a, &by, &y0, 1e-8, max_iter, cancel).map_err(cancelled)?;
+    let sx = cg_solve_under(&a, &bx, &x0, 1e-8, max_iter, cancel).map_err(cancelled)?;
+    let sy = cg_solve_under(&a, &by, &y0, 1e-8, max_iter, cancel).map_err(cancelled)?;
     let iterations = sx.iterations + sy.iterations;
     let residual = sx.residual.max(sy.residual);
     let finite = sx.x.iter().all(|v| v.is_finite()) && sy.x.iter().all(|v| v.is_finite());
@@ -371,12 +368,15 @@ mod tests {
         };
         let token = CancelToken::new();
         token.cancel();
-        let got = try_solve_quadratic_cancel(&p, &[], &[], &token);
+        let got = {
+            let _scope = lily_fault::set_ambient(token);
+            try_solve_quadratic(&p, &[], &[])
+        };
         assert!(
             matches!(got, Err(PlaceError::Cancelled { context: "conjugate-gradient" })),
             "{got:?}"
         );
-        // A never-token solves as before.
+        // Outside the cancelled scope the ambient token never trips.
         assert!(try_solve_quadratic(&p, &[], &[]).is_ok());
     }
 }

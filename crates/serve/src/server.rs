@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use lily_core::json::{JsonObject, ParseLimits};
 use lily_core::mem::{estimate_peak_bytes, MemGauge, MemReservation};
-use lily_core::{run_flow_checkpointed, FlowOptions, MapError};
+use lily_core::{FlowOptions, FlowRun, MapError};
 use lily_fault::{CancelToken, FaultKind, FaultPlan};
 use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_netlist::{blif, Network};
@@ -726,10 +726,12 @@ fn job_cost(req: &MapRequest) -> u64 {
 /// a crash forfeits at most one stage of work. Returns the audit detail
 /// when the degradation applies. The decision depends only on the
 /// estimate and the budget, so a journal replay of the same request
-/// reaches the same checkpoint directory.
+/// reaches the same checkpoint directory. A comparison is never
+/// streamed: checkpointing runs single flows only.
 fn maybe_stream(inner: &Inner, req: &mut MapRequest, cost: u64, seq: u64) -> Option<String> {
     let gauge = inner.gauge.as_ref()?;
     let applies = cost.saturating_mul(2) > gauge.budget()
+        && !req.compare
         && req.checkpoint.is_none()
         && req.kill_after.is_none()
         && matches!(req.faults, FaultSpec::None)
@@ -798,6 +800,44 @@ fn sanitize_job_id(id: &str) -> Result<&str, (&'static str, String)> {
     }
 }
 
+/// The run policies of a map request: its fault plan, or — for a
+/// resumable job — its checkpoint directory and kill stage. A
+/// checkpointed job takes neither a fault plan nor `compare` (a
+/// comparison is three flow contexts, which one directory cannot
+/// resume).
+fn flow_run(inner: &Inner, req: &MapRequest) -> Result<FlowRun, (&'static str, String)> {
+    let faults = fault_plan(&req.faults);
+    let Some(ckpt_id) = &req.checkpoint else {
+        return Ok(FlowRun { faults, ..FlowRun::default() });
+    };
+    let ckpt_id = sanitize_job_id(ckpt_id)?;
+    let Some(root) = &inner.config.checkpoint_root else {
+        return Err((
+            "bad-request",
+            "server started without --checkpoint-root; resumable jobs unavailable".to_string(),
+        ));
+    };
+    if !faults.is_empty() {
+        return Err((
+            "bad-request",
+            "checkpointed jobs do not accept fault plans (use kill_after)".to_string(),
+        ));
+    }
+    if req.compare {
+        return Err(("bad-request", "checkpointed jobs run a single flow (drop compare)".into()));
+    }
+    if let Some(stage) = &req.kill_after {
+        if !lily_core::checkpoint::STAGE_NAMES.contains(&stage.as_str()) {
+            return Err(("bad-request", format!("unknown kill_after stage `{stage}`")));
+        }
+    }
+    Ok(FlowRun {
+        faults,
+        checkpoint: Some(root.join(ckpt_id)),
+        interrupt_after: req.kill_after.clone(),
+    })
+}
+
 fn run_map(inner: &Arc<Inner>, job: &Job, req: &MapRequest) {
     let step = (|| -> Result<(), (&'static str, String)> {
         let (entry, hit) =
@@ -805,57 +845,10 @@ fn run_map(inner: &Arc<Inner>, job: &Job, req: &MapRequest) {
         let cache_tag = if hit { "hit" } else { "miss" };
         let net = resolve_network(&req.source)?;
         let options = flow_options(req)?;
-        let plan = fault_plan(&req.faults);
-
-        if let Some(ckpt_id) = &req.checkpoint {
-            let ckpt_id = sanitize_job_id(ckpt_id)?;
-            let Some(root) = &inner.config.checkpoint_root else {
-                return Err((
-                    "bad-request",
-                    "server started without --checkpoint-root; resumable jobs unavailable"
-                        .to_string(),
-                ));
-            };
-            if !plan.is_empty() {
-                return Err((
-                    "bad-request",
-                    "checkpointed jobs do not accept fault plans (use kill_after)".to_string(),
-                ));
-            }
-            if let Some(stage) = &req.kill_after {
-                if !lily_core::checkpoint::STAGE_NAMES.contains(&stage.as_str()) {
-                    return Err(("bad-request", format!("unknown kill_after stage `{stage}`")));
-                }
-            }
-            let dir = root.join(ckpt_id);
-            match run_flow_checkpointed(
-                &net,
-                &entry.library,
-                &options,
-                &dir,
-                req.kill_after.as_deref(),
-            ) {
-                Ok(result) => {
-                    let flow = req.flow.split('-').next().unwrap_or("mis");
-                    for r in result.metrics.stages.records() {
-                        job.conn.send(&reply::stage(job.id, flow, r));
-                    }
-                    let metrics = result.metrics.to_json();
-                    inner.journal_job(
-                        job,
-                        &JournalRecord::Completed { seq: job.seq, metrics: metrics.clone() },
-                    );
-                    inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    job.conn.send(&reply::done_single(job.id, cache_tag, 0, &metrics));
-                }
-                Err(e) => finish_error(inner, job, &e),
-            }
-            return Ok(());
-        }
+        let run = flow_run(inner, req)?;
 
         if req.compare {
-            let (result, report) =
-                lily_core::flow::compare_flows_chaos(&net, &entry.library, &options, &plan);
+            let (result, report) = run.compare(&net, &entry.library, &options);
             match result {
                 Ok(cmp) => {
                     for r in cmp.mis.metrics.stages.records() {
@@ -881,8 +874,7 @@ fn run_map(inner: &Arc<Inner>, job: &Job, req: &MapRequest) {
                 Err(e) => finish_error(inner, job, &e),
             }
         } else {
-            let (result, report) =
-                lily_core::flow::run_flow_chaos(&net, &entry.library, &options, &plan);
+            let (result, report) = run.single(&net, &entry.library, &options);
             match result {
                 Ok(flow_result) => {
                     let flow = req.flow.split('-').next().unwrap_or("mis");

@@ -43,7 +43,7 @@
 
 use lily::cells::Library;
 use lily::check;
-use lily::core::flow::{run_flow, FlowOptions};
+use lily::core::flow::{run_flow, FlowOptions, FlowRun};
 use lily::netlist::decompose::decompose;
 use lily::place::Point;
 use lily::place::Rect;
@@ -253,23 +253,18 @@ fn run() -> Result<usize, String> {
     // the point of the CLI is to print every stage's full report, not
     // to stop at the first failing checkpoint.
     let flow_opts = FlowOptions { verify: false, ..opts };
-    let result = match &args.checkpoint_dir {
-        Some(dir) => {
-            match lily::core::run_flow_checkpointed(
-                &net,
-                &lib,
-                &flow_opts,
-                std::path::Path::new(dir),
-                args.kill_after.as_deref(),
-            ) {
-                Err(lily::core::MapError::Interrupted { stage }) => {
-                    println!("interrupted: checkpoint saved through stage `{stage}` in {dir}");
-                    std::process::exit(3);
-                }
-                other => other.map_err(|e| format!("flow: {e}"))?,
-            }
+    let run = FlowRun {
+        checkpoint: args.checkpoint_dir.as_ref().map(std::path::PathBuf::from),
+        interrupt_after: args.kill_after.clone(),
+        ..FlowRun::default()
+    };
+    let result = match run.single(&net, &lib, &flow_opts).0 {
+        Err(lily::core::MapError::Interrupted { stage }) => {
+            let dir = args.checkpoint_dir.as_deref().unwrap_or_default();
+            println!("interrupted: checkpoint saved through stage `{stage}` in {dir}");
+            std::process::exit(3);
         }
-        None => run_flow(&net, &lib, &flow_opts).map_err(|e| format!("flow: {e}"))?,
+        other => other.map_err(|e| format!("flow: {e}"))?,
     };
     for d in &result.metrics.degradations {
         println!("degraded: {d}");

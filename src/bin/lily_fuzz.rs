@@ -51,7 +51,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lily::cells::Library;
-use lily::core::flow::{run_flow_chaos, DetailedPlacer, FlowOptions};
+use lily::core::flow::{DetailedPlacer, FlowOptions, FlowRun};
 use lily::fault::FaultPlan;
 use lily::netlist::{blif, Network};
 use lily::replay::Replay;
@@ -242,7 +242,7 @@ fn drive_chaos(
     let plan = chaos_plan(seed, i);
     let benign = benign_case(i);
     let opts = options_for(i);
-    let (result, report) = run_flow_chaos(net, lib, &opts, &plan);
+    let (result, report) = FlowRun { faults: plan, ..FlowRun::default() }.single(net, lib, &opts);
     tally.faults_fired += report.fired.len() as u64;
     match result {
         Ok(r) => {
@@ -321,7 +321,8 @@ fn run_replay(path: &str) -> Result<(), String> {
         return Ok(());
     }
     let opts = options_for(replay.case);
-    let (result, report) = run_flow_chaos(&net, &lib, &opts, &replay.faults);
+    let run = FlowRun { faults: replay.faults.clone(), ..FlowRun::default() };
+    let (result, report) = run.single(&net, &lib, &opts);
     for f in &report.fired {
         println!("  fired: {} at `{}` attempt {}", f.kind.name(), f.stage, f.invocation);
     }
