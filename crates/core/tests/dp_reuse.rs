@@ -7,7 +7,7 @@ use lily_core::flow::FlowOptions;
 use lily_core::PositionUpdate;
 use lily_core::{CutMapper, LayoutOptions, LilyMapper, MapMode, MapResult, MapStats, Partition};
 use lily_netlist::decompose::{decompose, DecomposeOrder};
-use lily_netlist::{Network, SubjectKind};
+use lily_netlist::{Network, SubjectGraph, SubjectKind};
 use lily_place::Point;
 use lily_route::WireModel;
 use lily_workloads::{circuits, scale_circuit, ScaleFamily};
@@ -91,19 +91,26 @@ fn cover_hash(r: &MapResult) -> u64 {
     h
 }
 
-#[test]
-fn placed_covers_match_the_full_resolve_recordings() {
-    // Hashes recorded with the covering DP re-solving every visited
-    // node. Delay mode reads the unmapped-fanout load of the node itself,
-    // so these configurations fail if a commit stops invalidating the
-    // fanins of the nodes it changes.
-    let net = scale_circuit(ScaleFamily::RandomDag, 400, 1);
+/// A random DAG of `nodes` nodes (seed 1), decomposed, with a
+/// deterministic scattered placement and a column of output pads.
+fn placed_subject(nodes: usize) -> (SubjectGraph, Vec<Point>, Vec<Point>) {
+    let net = scale_circuit(ScaleFamily::RandomDag, nodes, 1);
     let g = decompose(&net, DecomposeOrder::Balanced).expect("decompose");
     let place: Vec<Point> = (0..g.node_count())
         .map(|i| Point::new(((i * 37) % 23) as f64 * 50.0, ((i * 11) % 19) as f64 * 50.0))
         .collect();
     let pads: Vec<Point> =
         (0..g.outputs().len()).map(|i| Point::new(1200.0, i as f64 * 30.0)).collect();
+    (g, place, pads)
+}
+
+#[test]
+fn placed_covers_match_the_full_resolve_recordings() {
+    // Hashes recorded with the covering DP re-solving every visited
+    // node. Delay mode reads the unmapped-fanout load of the node itself,
+    // so these configurations fail if a commit stops invalidating the
+    // fanins of the nodes it changes.
+    let (g, place, pads) = placed_subject(400);
     let (big, big_1u) = (Library::big(), Library::big_1u());
     let layout = |position_update, wire_model, cone_ordering| LayoutOptions {
         wire_weight: 2.0,
@@ -113,11 +120,25 @@ fn placed_covers_match_the_full_resolve_recordings() {
     };
     let lily = |lib, mode, lay| LilyMapper::new(lib).mode(mode).layout(lay).map(&g, &place, &pads);
     let steiner = WireModel::HalfPerimeterSteiner;
-    let cases: [(&str, Result<MapResult, _>, u64); 6] = [
+    let cases: [(&str, Result<MapResult, _>, u64); 8] = [
         (
             "lily area",
             lily(&big, MapMode::Area, layout(PositionUpdate::CmFans, steiner, true)),
             0x5895225b652a394d,
+        ),
+        (
+            "lily area, merged",
+            lily(&big, MapMode::Area, layout(PositionUpdate::CmMerged, steiner, true)),
+            0xb58997365af72008,
+        ),
+        (
+            "lily area, median, spanning tree",
+            lily(
+                &big,
+                MapMode::Area,
+                layout(PositionUpdate::MedianFans, WireModel::SpanningTree, true),
+            ),
+            0xdb2625d43c360c85,
         ),
         (
             "lily delay",
@@ -150,4 +171,19 @@ fn placed_covers_match_the_full_resolve_recordings() {
         assert!(r.stats.dp_reused > 0, "{what}: no reuse exercised");
         assert_eq!(cover_hash(&r), want, "{what}: cover differs from the full re-solve");
     }
+}
+
+#[test]
+fn rsmt_placed_cover_matches_its_recording() {
+    // Iterated 1-Steiner prices every fanin net of every match: minutes
+    // on the 400-node DAG above, seconds on this one.
+    let (g, place, pads) = placed_subject(100);
+    let lay = LayoutOptions { wire_model: WireModel::Rsmt, ..LayoutOptions::default() };
+    let r = LilyMapper::new(&Library::big_1u())
+        .mode(MapMode::Delay)
+        .layout(lay)
+        .map(&g, &place, &pads)
+        .expect("map");
+    assert!(r.stats.dp_reused > 0, "no reuse exercised");
+    assert_eq!(cover_hash(&r), 0x4d86c9d01d38f706, "cover differs from the recording");
 }
