@@ -49,12 +49,25 @@ pub fn center_of_mass(points: &[Point], fallback: Point) -> Point {
 /// coordinates (paper Section 3.2: *"the solution is the median point
 /// for the sorted list of x_i's"*). `fallback` when empty.
 pub fn manhattan_median(rects: &[Rect], fallback: Point) -> Point {
+    manhattan_median_with(rects, fallback, &mut Vec::new(), &mut Vec::new())
+}
+
+/// [`manhattan_median`] sorting in the caller-owned coordinate buffers
+/// `xs` and `ys` (overwritten).
+pub fn manhattan_median_with(
+    rects: &[Rect],
+    fallback: Point,
+    xs: &mut Vec<f64>,
+    ys: &mut Vec<f64>,
+) -> Point {
     if rects.is_empty() {
         return fallback;
     }
-    let mut xs: Vec<f64> = rects.iter().flat_map(|r| [r.llx, r.urx]).collect();
-    let mut ys: Vec<f64> = rects.iter().flat_map(|r| [r.lly, r.ury]).collect();
-    Point::new(median(&mut xs), median(&mut ys))
+    xs.clear();
+    xs.extend(rects.iter().flat_map(|r| [r.llx, r.urx]));
+    ys.clear();
+    ys.extend(rects.iter().flat_map(|r| [r.lly, r.ury]));
+    Point::new(median(xs), median(ys))
 }
 
 fn median(values: &mut [f64]) -> f64 {

@@ -1,8 +1,8 @@
 //! The net-length estimators the mapper chooses between (paper §3.4).
 
 use crate::hpwl::half_perimeter;
-use crate::rsmt::rsmt_length;
-use crate::rst::rst_length;
+use crate::rsmt::{rsmt_length_with, RsmtScratch};
+use crate::rst::rst_length_with;
 use crate::steiner_factor::chung_hwang_factor;
 use lily_place::Point;
 
@@ -24,18 +24,38 @@ pub enum WireModel {
 
 /// Estimated length of a net under the chosen model.
 pub fn net_length(model: WireModel, pins: &[Point]) -> f64 {
+    net_length_with(model, pins, &mut RsmtScratch::default())
+}
+
+/// [`net_length`] over caller-owned tree buffers: allocation-free once
+/// the buffers have grown to the largest net seen, and bit-identical.
+pub fn net_length_with(model: WireModel, pins: &[Point], scratch: &mut RsmtScratch) -> f64 {
     match model {
         WireModel::HalfPerimeterSteiner => {
             half_perimeter(pins) * chung_hwang_factor(pins.len().max(1))
         }
-        WireModel::SpanningTree => rst_length(pins),
-        WireModel::Rsmt => rsmt_length(pins),
+        WireModel::SpanningTree => rst_length_with(pins, &mut scratch.prim),
+        WireModel::Rsmt => rsmt_length_with(pins, scratch),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scratch_variant_is_bit_identical() {
+        let mut scratch = RsmtScratch::default();
+        for n in [0usize, 1, 2, 5, 9, 30] {
+            let pins: Vec<Point> =
+                (0..n).map(|i| Point::new(((i * 7) % 11) as f64, ((i * 5) % 13) as f64)).collect();
+            for model in [WireModel::HalfPerimeterSteiner, WireModel::SpanningTree, WireModel::Rsmt]
+            {
+                let want = net_length(model, &pins).to_bits();
+                assert_eq!(net_length_with(model, &pins, &mut scratch).to_bits(), want);
+            }
+        }
+    }
 
     #[test]
     fn models_agree_on_two_pin_nets() {

@@ -30,7 +30,7 @@ pub mod steiner_factor;
 
 pub use channel::{channel_densities, channel_routing_area};
 pub use congestion::{BinBox, CongestionGrid};
-pub use estimate::{net_length, WireModel};
+pub use estimate::{net_length, net_length_with, WireModel};
 pub use groute::{GlobalRouteGrid, RouteSummary};
 pub use hpwl::{half_perimeter, net_extents};
 pub use rsmt::{rsmt_length, rsmt_length_with, RsmtScratch};
