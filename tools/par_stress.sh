@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Stress the determinism contract of the lily-par runtime: the
-# stage_equiv bit-pattern goldens must pass unchanged at 1, 2, and 8
-# threads, and the lily-check metrics JSON must be identical across
-# thread counts once the fields that legitimately vary with parallelism
-# (wall times, measured speedups, the recorded thread count) are
-# normalized away.
+# stage_equiv bit-pattern goldens and the dp_reuse placed-cover hashes
+# must pass unchanged at 1, 2, and 8 threads, and the lily-check
+# metrics JSON must be identical across thread counts once the fields
+# that legitimately vary with parallelism (wall times, measured
+# speedups, the recorded thread count) are normalized away.
 #
 # Usage: tools/par_stress.sh [path-to-lily-check]
 # (defaults to `cargo run --release --bin lily-check --`; the golden
@@ -22,6 +22,8 @@ trap 'rm -f "$tmp"/metrics_*.json; rmdir "$tmp"' EXIT
 for t in 1 2 8; do
     echo "par_stress: stage_equiv goldens at LILY_THREADS=$t"
     LILY_THREADS="$t" cargo test --release --quiet -p lily-check --test stage_equiv
+    echo "par_stress: dp_reuse cover hashes at LILY_THREADS=$t"
+    LILY_THREADS="$t" cargo test --release --quiet -p lily-core --test dp_reuse
 done
 
 run_check() {
