@@ -59,52 +59,6 @@ fn bench_matching(h: &Harness) {
     }
 }
 
-/// Pattern enumeration with a fresh binding buffer per node (the
-/// pre-`MatchScratch` behaviour) vs one reused scratch across the whole
-/// sweep, plus the logical allocation counts behind the timing gap.
-fn bench_match_scratch(h: &Harness) {
-    use lily_core::matching::{matches_at_with, MatchScratch};
-    use lily_netlist::subject::SubjectKind;
-
-    let lib = Library::big();
-    for name in ["misex1", "C432"] {
-        let net = circuits::circuit(name);
-        let g = decompose(&net, DecomposeOrder::Balanced).unwrap();
-        let gates: Vec<_> =
-            g.node_ids().filter(|&v| !matches!(g.kind(v), SubjectKind::Input(_))).collect();
-        let fresh = h.bench("match_scratch", &format!("fresh/{name}"), || {
-            let mut total = 0usize;
-            for &v in &gates {
-                let mut s = MatchScratch::new();
-                total += matches_at_with(&g, &lib, v, &mut s).len();
-            }
-            total
-        });
-        let mut scratch = MatchScratch::new();
-        let reused = h.bench("match_scratch", &format!("reused/{name}"), || {
-            let mut total = 0usize;
-            for &v in &gates {
-                total += matches_at_with(&g, &lib, v, &mut scratch).len();
-            }
-            total
-        });
-        let mut fresh_stats = MatchScratch::new();
-        let mut fresh_allocs = 0u64;
-        for &v in &gates {
-            let mut s = MatchScratch::new();
-            matches_at_with(&g, &lib, v, &mut s);
-            fresh_allocs += s.stats().binding_allocations;
-            matches_at_with(&g, &lib, v, &mut fresh_stats);
-        }
-        println!(
-            "match_scratch/{name}: binding allocations {fresh_allocs} fresh -> {} reused, \
-             wall {:.2}x",
-            fresh_stats.stats().binding_allocations,
-            fresh.as_secs_f64() / reused.as_secs_f64().max(1e-12),
-        );
-    }
-}
-
 fn bench_groute(h: &Harness) {
     use lily_route::GlobalRouteGrid;
     for nets_count in [50usize, 200] {
@@ -142,7 +96,6 @@ fn main() {
     bench_wire_models(&h);
     bench_quadratic_solve(&h);
     bench_matching(&h);
-    bench_match_scratch(&h);
     bench_groute(&h);
     bench_fm(&h);
 }

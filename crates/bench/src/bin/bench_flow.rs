@@ -10,11 +10,10 @@
 //! the cut-enumeration match build (`CutIndex::build` + NPN matching,
 //! reported as `match_build_ns`) and one full cut-area flow
 //! (`flow_ns`). The JSON carries the circuit sizes, the thread counts,
-//! the host's available parallelism, the scratch-buffer allocation
-//! comparison, per-circuit cut statistics (cuts per node mean/max,
-//! pruning counters, cut-scratch pool reuse), and an ISO-8601 UTC
-//! stamp, so a checked-in snapshot documents exactly what was measured
-//! and where.
+//! the host's available parallelism, per-circuit cut statistics (cuts
+//! per node mean/max, pruning counters, cut-scratch pool reuse), and an
+//! ISO-8601 UTC stamp, so a checked-in snapshot documents exactly what
+//! was measured and where.
 //!
 //! Determinism note: thread count changes *times only* — every metric
 //! and artifact is byte-identical at any setting (see `lily-par`).
@@ -31,36 +30,16 @@ use lily_bench::harness::{env_samples, iso8601_now, median_ns, stages_json};
 use lily_cells::Library;
 use lily_core::flow::{compare_flows, FlowOptions};
 use lily_core::json::{array, JsonObject};
-use lily_core::matching::{matches_at_with, MatchScratch};
 use lily_core::{cut_matches, CutIndex, MatchIndex};
 use lily_netlist::cuts::enumerate_node;
 use lily_netlist::decompose::{decompose, DecomposeOrder};
-use lily_netlist::subject::SubjectKind;
 use lily_netlist::{CutConfig, CutScratch, CutSet, CutStats, SubjectGraph};
 use lily_workloads::circuits;
 
-/// Binding-buffer allocation counts over a full sweep of the subject
-/// graph: fresh scratch per node (the pre-runtime behaviour) vs one
-/// reused scratch — the satellite measurement behind `MatchScratch`.
-fn scratch_allocations(g: &SubjectGraph, lib: &Library) -> (u64, u64) {
-    let mut fresh = 0u64;
-    let mut reused_scratch = MatchScratch::new();
-    for v in g.node_ids() {
-        if matches!(g.kind(v), SubjectKind::Input(_)) {
-            continue;
-        }
-        let mut s = MatchScratch::new();
-        matches_at_with(g, lib, v, &mut s);
-        fresh += s.stats().binding_allocations;
-        matches_at_with(g, lib, v, &mut reused_scratch);
-    }
-    (fresh, reused_scratch.stats().binding_allocations)
-}
-
 /// Sequential cut enumeration with one reused [`CutScratch`]: returns
 /// the whole-graph cut statistics plus the scratch's
-/// (candidate-buffer acquisitions, fresh growth allocations) counters —
-/// the cut-side analogue of [`scratch_allocations`]. They land in
+/// (candidate-buffer acquisitions, fresh growth allocations) counters.
+/// They land in
 /// `BENCH_flow.json` as `cuts.scratch_acquisitions` and
 /// `cuts.scratch_allocations`.
 fn cut_statistics(g: &SubjectGraph, config: &CutConfig) -> (CutStats, u64, u64) {
@@ -133,7 +112,6 @@ fn bench_circuit(name: &'static str, lib: &Library, threads: &[usize], samples: 
             return JsonObject::new().string("name", name).string("error", &e.to_string()).finish();
         }
     };
-    let (fresh_allocs, reused_allocs) = scratch_allocations(&g, lib);
     let mut runs: Vec<String> = Vec::new();
     let mut kernel_ns: Vec<(usize, u64, u64, u64)> = Vec::new();
     for &t in threads {
@@ -247,8 +225,6 @@ fn bench_circuit(name: &'static str, lib: &Library, threads: &[usize], samples: 
         .uint("outputs", net.output_count() as u64)
         .uint("network_nodes", net.node_count() as u64)
         .uint("base_gates", g.base_gate_count() as u64)
-        .uint("scratch_fresh_allocations", fresh_allocs)
-        .uint("scratch_reused_allocations", reused_allocs)
         .raw("cuts", &cuts_json)
         .raw("runs", &array(runs))
         .raw("speedup_vs_1_thread", &speedups)

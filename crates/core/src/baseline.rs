@@ -8,6 +8,7 @@
 
 use crate::cover::{Engine, MapMode, MapResult, Partition};
 use crate::error::MapError;
+use crate::matching::MatchSlot;
 use lily_cells::Library;
 use lily_netlist::{SubjectGraph, SubjectKind, SubjectNodeId};
 use lily_timing::{propagate, unateness, Arrival};
@@ -88,7 +89,18 @@ impl<'l> MisMapper<'l> {
     ///
     /// See [`MapError`].
     pub fn map(&self, g: &SubjectGraph) -> Result<MapResult, MapError> {
-        let mut e = Engine::new(g, self.lib)?;
+        self.map_with(g, &MatchSlot::default())
+    }
+
+    /// [`MisMapper::map`] over the structural match index of `g` that
+    /// `matches` holds, built there first if no earlier mapper did (the
+    /// flow shares one slot between the mappers of a comparison).
+    ///
+    /// # Errors
+    ///
+    /// See [`MapError`].
+    pub fn map_with(&self, g: &SubjectGraph, matches: &MatchSlot) -> Result<MapResult, MapError> {
+        let mut e = Engine::with_index(g, self.lib, matches.get_or_build(g, self.lib)?);
         let scopes = e.scopes(self.options.partition, false);
         let n = g.node_count();
 
@@ -111,13 +123,13 @@ impl<'l> MisMapper<'l> {
                 let mut best: Option<(f64, f64, usize, Arrival)> = None; // (key, tiebreak, match, arrival)
                 let cl = load_of(&e, v);
                 for (mi, m) in e.idx.at(v).iter().enumerate() {
-                    if !e.match_allowed(scope, m) {
+                    if !e.match_allowed(scope, &m) {
                         continue;
                     }
                     let gate = self.lib.gate(m.gate);
                     // Area accumulation (also the delay-mode tiebreak).
                     let mut a = gate.area();
-                    for &vi in &m.inputs {
+                    for &vi in m.inputs {
                         if self.dp_contributes(&e, vi) {
                             a += area[vi.index()];
                         }

@@ -30,6 +30,8 @@
 //! check then reads each dependency's version once per visit instead of
 //! once per match that reads it.
 
+use std::sync::Arc;
+
 use crate::error::MapError;
 use crate::matching::{Match, MatchIndex};
 use lily_cells::{CellId, Library, MappedCell, MappedNetwork, SignalSource};
@@ -125,8 +127,9 @@ pub struct Engine<'a> {
     pub g: &'a SubjectGraph,
     /// The target library.
     pub lib: &'a Library,
-    /// All matches, per node.
-    pub idx: MatchIndex,
+    /// All matches, per node (shared: a flow hands one index to every
+    /// structural mapper run on the same subject graph).
+    pub idx: Arc<MatchIndex>,
     /// Node life cycle (egg / nestling / dove / hawk).
     pub life: LifeCycle,
     /// Chosen match index (into `idx.at(v)`) for each solved node.
@@ -173,14 +176,13 @@ impl<'a> Engine<'a> {
     ///
     /// Propagates [`MatchIndex::build`] failures.
     pub fn new(g: &'a SubjectGraph, lib: &'a Library) -> Result<Self, MapError> {
-        let idx = MatchIndex::build(g, lib)?;
-        Ok(Self::with_index(g, lib, idx))
+        Ok(Self::with_index(g, lib, Arc::new(MatchIndex::build(g, lib)?)))
     }
 
-    /// Builds the engine around an externally computed match index
-    /// (the cut matcher's entry point; [`Engine::new`] wraps this with
-    /// the structural enumeration).
-    pub fn with_index(g: &'a SubjectGraph, lib: &'a Library, idx: MatchIndex) -> Self {
+    /// Builds the engine around an externally computed match index of
+    /// `g` on `lib`: a shared structural index, or the cut matcher's
+    /// ([`Engine::new`] wraps this with the structural enumeration).
+    pub fn with_index(g: &'a SubjectGraph, lib: &'a Library, idx: Arc<MatchIndex>) -> Self {
         let n = g.node_count();
         let mapped = MappedNetwork::new(g.name(), g.input_names().to_vec());
         let matches_enumerated = idx.total();
@@ -269,7 +271,7 @@ impl<'a> Engine<'a> {
         self.dep_start.push(0);
         for v in 0..n {
             for m in self.idx.at(SubjectNodeId::from_index(v)) {
-                for &d in m.inputs.iter().chain(&m.covered) {
+                for &d in m.inputs.iter().chain(m.covered) {
                     if last_reader[d.index()] != v {
                         last_reader[d.index()] = v;
                         self.dep_list.push(d);
@@ -324,7 +326,7 @@ impl<'a> Engine<'a> {
             && fresh(&v)
             && match self.deps(v) {
                 Some(deps) => deps.iter().all(fresh),
-                None => self.idx.at(v).iter().all(|m| m.inputs.iter().chain(&m.covered).all(fresh)),
+                None => self.idx.at(v).iter().all(|m| m.inputs.iter().chain(m.covered).all(fresh)),
             };
         if valid {
             self.solved[v.index()] = true;
@@ -385,7 +387,8 @@ impl<'a> Engine<'a> {
         v: SubjectNodeId,
         pos_of: &mut dyn FnMut(SubjectNodeId) -> (f64, f64),
     ) -> SignalSource {
-        let signal = self.commit_cover(v, pos_of);
+        let idx = Arc::clone(&self.idx);
+        let signal = self.commit_cover(&idx, v, pos_of);
         if !self.touched.is_empty() {
             self.clock += 1;
             for w in std::mem::take(&mut self.touched) {
@@ -400,6 +403,7 @@ impl<'a> Engine<'a> {
 
     fn commit_cover(
         &mut self,
+        idx: &MatchIndex,
         v: SubjectNodeId,
         pos_of: &mut dyn FnMut(SubjectNodeId) -> (f64, f64),
     ) -> SignalSource {
@@ -418,10 +422,10 @@ impl<'a> Engine<'a> {
             self.life.reincarnate(v);
             self.life.hatch(v);
         }
-        let m = self.idx.at(v)[self.chosen[v.index()]].clone();
+        let m = idx.at(v).get(self.chosen[v.index()]);
         // Resolve fanin signals first (bottom-up recursion).
         let fanins: Vec<SignalSource> =
-            m.inputs.iter().map(|&vi| self.commit_cover(vi, pos_of)).collect();
+            m.inputs.iter().map(|&vi| self.commit_cover(idx, vi, pos_of)).collect();
         let cell = self.mapped.add_cell(MappedCell { gate: m.gate, fanins, position: pos_of(v) });
         self.life.commit_hawk(v);
         self.cell_of[v.index()] = Some(cell);
@@ -527,7 +531,7 @@ mod tests {
         // inverter's tree.
         for m in e.idx.at(inv) {
             let crosses = m.covered.contains(&shared);
-            assert_eq!(e.match_allowed(inv_tree, m), !crosses);
+            assert_eq!(e.match_allowed(inv_tree, &m), !crosses);
         }
     }
 
@@ -635,7 +639,7 @@ mod tests {
                 .idx
                 .at(v)
                 .iter()
-                .flat_map(|m| m.inputs.iter().chain(&m.covered))
+                .flat_map(|m| m.inputs.iter().chain(m.covered))
                 .copied()
                 .collect();
             want.sort_unstable();

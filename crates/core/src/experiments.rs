@@ -11,6 +11,7 @@ use crate::baseline::MisMapper;
 use crate::cover::MapStats;
 use crate::error::MapError;
 use crate::lily::{LayoutOptions, LilyMapper};
+use crate::matching::MatchSlot;
 use crate::stage::{MapImage, Mapper};
 use lily_cells::Library;
 use lily_netlist::decompose::{decompose, DecomposeOrder};
@@ -64,15 +65,18 @@ pub fn distribution_points(
     let g = decompose(&net, DecomposeOrder::Balanced)?;
 
     let mut out = Vec::with_capacity(spreads.len());
+    // Every spread maps the same subject graph: one match index serves
+    // all of them.
+    let matches = MatchSlot::default();
     for &spread in spreads {
         let (place, pads) = cluster_placement(&g, spread);
         // Lily's choice under a wire weight comparable to routing pitch.
         let image = MapImage { positions: &place, output_pads: &pads };
-        let lily = figure_mapper(lib).map_subject(&g, Some(&image))?;
+        let lily = figure_mapper(lib).map_subject(&g, Some(&image), &matches)?;
         let wire_lily = mapped_wire(&lily.mapped, &place_pads(&place, &g), &pads);
         // Forced one-gate cover: the wire-blind mapper on a 6-NAND
         // always picks nand6.
-        let one = MisMapper::new(lib).map_subject(&g, None)?;
+        let one = MisMapper::new(lib).map_subject(&g, None, &matches)?;
         let mut one_mapped = one.mapped;
         // Place the single gate at the sources' centroid (its best case).
         let centroid = centroid_of_inputs(&g, &place);
@@ -121,7 +125,7 @@ fn alignment_case(lib: &Library, spread: f64, order: &[usize; 6]) -> Result<f64,
     let g = decompose(&net, DecomposeOrder::Balanced)?;
     let (place, pads) = cluster_placement(&g, spread);
     let image = MapImage { positions: &place, output_pads: &pads };
-    let lily = figure_mapper(lib).map_subject(&g, Some(&image))?;
+    let lily = figure_mapper(lib).map_subject(&g, Some(&image), &MatchSlot::default())?;
     Ok(mapped_wire(&lily.mapped, &place_pads(&place, &g), &pads))
 }
 
@@ -133,7 +137,7 @@ fn alignment_case(lib: &Library, spread: f64, order: &[usize; 6]) -> Result<f64,
 /// Propagates mapping errors.
 pub fn life_cycle_profile(lib: &Library, net: &Network) -> Result<MapStats, MapError> {
     let g = decompose(net, DecomposeOrder::Balanced)?;
-    Ok(MisMapper::new(lib).map_subject(&g, None)?.stats)
+    Ok(MisMapper::new(lib).map(&g)?.stats)
 }
 
 /// Places PI pads of `g` in two clusters `spread` µm apart (inputs 0–2

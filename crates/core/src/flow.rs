@@ -31,6 +31,7 @@ use crate::cover::{MapMode, MapStats, Partition};
 use crate::error::MapError;
 use crate::json::{array, JsonObject};
 use crate::lily::LayoutOptions;
+use crate::matching::MatchSlot;
 use crate::stage::{
     AssignPads, Decompose, DetailedPlace, FlowContext, Legalize, Map, PadPlan, RouteEstimate,
     RouteFigures, Sta, StageMetrics, SubjectImage, SubjectPlace,
@@ -416,6 +417,8 @@ impl FlowRun {
             let artifacts = upstream(&mut shared, g)?;
             mis.adopt(&shared);
             lily.adopt(&shared);
+            // The tails hold the shared match slot from here on.
+            shared.matches = MatchSlot::default();
             let mis_artifacts = artifacts.clone();
             // `join` may run a tail on a pool thread whose thread-local
             // ambient token is fresh; re-install the caller's token in
@@ -500,6 +503,9 @@ fn downstream(mut ctx: FlowContext<'_>, artifacts: FlowArtifacts) -> Result<Flow
         None => (passthrough(g), MapStats::default(), RouteFigures::default(), 0.0),
         Some(plan) => {
             let mapping = ctx.run(&Map, (g, plan, artifacts.image.as_deref()))?;
+            // No later stage reads the match index: let go of it, so it
+            // is freed once every tail sharing it has mapped.
+            ctx.matches = MatchSlot::default();
             let legal = ctx.run(&Legalize, (plan, mapping))?;
             let placed = ctx.run(&DetailedPlace, legal)?;
             let route = ctx.run(&RouteEstimate, &placed)?;
@@ -905,5 +911,67 @@ mod tests {
         assert_eq!(cmp.mis.metrics.wire_length.to_bits(), solo_mis.wire_length.to_bits());
         assert_eq!(cmp.lily.metrics.cells, solo_lily.cells);
         assert_eq!(cmp.lily.metrics.wire_length.to_bits(), solo_lily.wire_length.to_bits());
+    }
+
+    /// A small network under a name no other test uses, so the build
+    /// log can be counted per test.
+    fn named_network(name: &str) -> Network {
+        use lily_netlist::NodeFunc;
+        let mut net = Network::new(name);
+        let ins: Vec<_> = (0..4).map(|i| net.add_input(format!("i{i}"))).collect();
+        let g1 = net.add_node("g1", NodeFunc::And, vec![ins[0], ins[1]]).unwrap();
+        let g2 = net.add_node("g2", NodeFunc::Xor, vec![g1, ins[2]]).unwrap();
+        let g3 = net.add_node("g3", NodeFunc::Or, vec![g2, ins[3], g1]).unwrap();
+        net.add_output("y1", g2);
+        net.add_output("y2", g3);
+        net
+    }
+
+    /// How many structural match indexes were built for graph `name`.
+    fn builds_of(name: &str) -> usize {
+        let log = crate::matching::BUILDS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        log.iter().filter(|n| *n == name).count()
+    }
+
+    #[test]
+    fn a_comparison_builds_the_structural_index_once() {
+        let lib = Library::big_1u();
+        for threads in [1usize, 2] {
+            lily_par::set_threads(Some(threads));
+            for (mode, base) in
+                [("area", FlowOptions::lily_area()), ("delay", FlowOptions::lily_delay())]
+            {
+                let name = format!("build-once-{mode}-{threads}");
+                let cmp = compare_flows(&named_network(&name), &lib, &base).unwrap();
+                assert!(cmp.mis.metrics.cells > 0 && cmp.lily.metrics.cells > 0);
+                assert_eq!(builds_of(&name), 1, "{name}: both tails share one index");
+            }
+        }
+        lily_par::set_threads(None);
+    }
+
+    #[test]
+    fn a_context_reused_on_another_graph_rebuilds_its_index() {
+        let lib = Library::big();
+        let mut ctx = FlowContext::new(&lib, FlowOptions::mis_area());
+        let (first, second) = (named_network("reuse-first"), named_network("reuse-second"));
+        let g1 = ctx.run(&Decompose, &first).unwrap();
+        let g2 = ctx.run(&Decompose, &second).unwrap();
+        let plan1 = ctx.run(&AssignPads, &*g1).unwrap();
+        let plan2 = ctx.run(&AssignPads, &*g2).unwrap();
+        let maps = [
+            ctx.run(&Map, (&*g1, &plan1, None)).unwrap(),
+            ctx.run(&Map, (&*g1, &plan1, None)).unwrap(),
+            ctx.run(&Map, (&*g2, &plan2, None)).unwrap(),
+        ];
+        assert_eq!(builds_of("reuse-first"), 1, "the same graph reuses its index");
+        assert_eq!(builds_of("reuse-second"), 1, "another graph gets its own");
+        for (m, g) in maps.iter().zip([&g1, &g1, &g2]) {
+            let fresh = crate::MisMapper::new(&lib).map(g).unwrap().mapped;
+            let cells = |n: &MappedNetwork| -> Vec<_> {
+                n.cells().iter().map(|c| (c.gate, c.fanins.clone())).collect()
+            };
+            assert_eq!(cells(&m.mapped), cells(&fresh), "{}", g.name());
+        }
     }
 }

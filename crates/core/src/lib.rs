@@ -49,7 +49,7 @@ pub use error::MapError;
 pub use fanout::{buffer_fanout, FanoutOptions};
 pub use flow::{compare_flows, run_flow, FlowComparison, FlowOptions, FlowRun, PhysicalOptions};
 pub use lily::{LayoutOptions, LilyMapper, MapOptions};
-pub use matching::{Match, MatchIndex};
+pub use matching::{Match, MatchIndex, MatchSlot};
 pub use mem::{estimate_peak_bytes, MemExceeded, MemGauge, MemReservation};
 pub use position::PositionUpdate;
 pub use stage::{FlowContext, Mapper, Stage, StageMetrics, StageRecord};

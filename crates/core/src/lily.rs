@@ -28,6 +28,7 @@
 
 use crate::cover::{Engine, MapMode, MapResult, Partition};
 use crate::error::MapError;
+use crate::matching::MatchSlot;
 use crate::position::{center_of_mass, manhattan_median_with, PositionUpdate};
 use crate::rects::{fanin_rect, fanout_points, is_input, unmapped_fanout_count};
 use lily_cells::{GateId, Library};
@@ -176,8 +177,25 @@ impl<'l> LilyMapper<'l> {
         place: &[Point],
         output_pads: &[Point],
     ) -> Result<MapResult, MapError> {
+        self.map_with(g, place, output_pads, &MatchSlot::default())
+    }
+
+    /// [`LilyMapper::map`] over the structural match index of `g` that
+    /// `matches` holds, built there first if no earlier mapper did (the
+    /// flow shares one slot between the mappers of a comparison).
+    ///
+    /// # Errors
+    ///
+    /// As [`LilyMapper::map`].
+    pub fn map_with(
+        &self,
+        g: &SubjectGraph,
+        place: &[Point],
+        output_pads: &[Point],
+        matches: &MatchSlot,
+    ) -> Result<MapResult, MapError> {
         check_placement(g, place, output_pads)?;
-        let e = Engine::new(g, self.lib)?;
+        let e = Engine::with_index(g, self.lib, matches.get_or_build(g, self.lib)?);
         run_placed_dp(e, &self.options, place, output_pads)
     }
 }
@@ -390,7 +408,7 @@ pub(crate) fn run_placed_dp(
             table.build(&e, v, place, output_pads);
             let mut best: Option<(f64, f64, usize, Solution)> = None;
             for (mi, m) in e.idx.at(v).iter().enumerate() {
-                if !e.match_allowed(scope, m) {
+                if !e.match_allowed(scope, &m) {
                     continue;
                 }
                 let gate = lib.gate(m.gate);
@@ -408,10 +426,10 @@ pub(crate) fn run_placed_dp(
 
                 // Fanin rectangles / true fanouts (shared by both the
                 // position update and the wire cost).
-                table.exclude(&m.covered);
-                fans.fill(&table, &m.inputs);
+                table.exclude(m.covered);
+                fans.fill(&table, m.inputs);
                 #[cfg(test)]
-                tests::check_against_oracle(&e, m, &table, &fans, place, output_pads);
+                tests::check_against_oracle(&e, &m, &table, &fans, place, output_pads);
 
                 // 1. Position the candidate (Section 3.2).
                 let fallback = place[v.index()];
@@ -444,7 +462,7 @@ pub(crate) fn run_placed_dp(
                 // 2. Accumulate area and wire costs (Section 3.4).
                 let mut a_cost = gate.area();
                 let mut w_cost = 0.0;
-                for &vi in &m.inputs {
+                for &vi in m.inputs {
                     let contributes = !is_input(&e, vi) && e.life.state(vi) != NodeState::Hawk;
                     if contributes {
                         a_cost += sol[vi.index()].a_cost;
@@ -567,7 +585,7 @@ mod tests {
     /// [`true_fanouts`]`(e, u, &m.covered, ..)` bit for bit and in order.
     pub(super) fn check_against_oracle(
         e: &Engine,
-        m: &crate::matching::Match,
+        m: &crate::matching::Match<'_>,
         table: &FanoutTable,
         fans: &FanLists,
         place: &[Point],
@@ -577,7 +595,7 @@ mod tests {
             pos.map(|(p, c)| [p.x.to_bits(), p.y.to_bits(), c.to_bits()]).collect()
         };
         let oracle = |u: SubjectNodeId| {
-            let want = true_fanouts(e, u, &m.covered, place, output_pads);
+            let want = true_fanouts(e, u, m.covered, place, output_pads);
             bits(&mut want.positions.into_iter().zip(want.caps))
         };
         for (i, &u) in m.inputs.iter().enumerate() {

@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 use crate::checkpoint::CheckpointDir;
 use crate::error::MapError;
 use crate::flow::{Degradation, FlowOptions};
+use crate::matching::MatchSlot;
 use crate::stage::{ArtifactCodec, Stage, StageArtifact, StageMetrics};
 use lily_cells::Library;
 use lily_fault::{ArmedFaults, FaultKind, FaultPlan, FiredLog, Injector};
@@ -40,6 +41,10 @@ pub struct FlowContext<'l> {
     pub retries: u32,
     /// How many stage attempts failed against the per-stage deadline.
     pub deadline_hits: u32,
+    /// The structural match index of the subject graph being mapped,
+    /// built by the first structural mapper that needs it and shared by
+    /// every context that adopted this one.
+    pub matches: MatchSlot,
     injector: Injector,
     checkpoint: Option<CheckpointDir>,
 }
@@ -65,6 +70,7 @@ impl<'l> FlowContext<'l> {
             armed: ArmedFaults::idle(),
             retries: 0,
             deadline_hits: 0,
+            matches: MatchSlot::default(),
             injector: Injector::default(),
             checkpoint: None,
         }
@@ -107,14 +113,16 @@ impl<'l> FlowContext<'l> {
     }
 
     /// Adopts another context's observable history — stage records,
-    /// degradation audit, retry/deadline counters — used by
-    /// [`compare_flows`](crate::flow::compare_flows) to hand the shared
-    /// upstream prefix to both pipeline tails.
+    /// degradation audit, retry/deadline counters — and shares its
+    /// match slot; used by [`compare_flows`](crate::flow::compare_flows)
+    /// to hand the shared upstream prefix to both pipeline tails, which
+    /// then build the structural match index once between them.
     pub fn adopt(&mut self, other: &FlowContext<'_>) {
         self.stages.adopt(&other.stages);
         self.degradations.extend(other.degradations.iter().cloned());
         self.retries += other.retries;
         self.deadline_hits += other.deadline_hits;
+        self.matches = other.matches.clone();
     }
 
     /// Runs one stage under the context's policies, records its wall

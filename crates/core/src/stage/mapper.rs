@@ -11,6 +11,7 @@ use crate::cover::MapResult;
 use crate::cuts::CutMapper;
 use crate::error::MapError;
 use crate::lily::LilyMapper;
+use crate::matching::MatchSlot;
 use lily_netlist::SubjectGraph;
 use lily_place::Point;
 
@@ -41,7 +42,9 @@ pub trait Mapper {
     /// into detailed placement instead of re-running global placement.
     fn constructive(&self) -> bool;
 
-    /// Maps `g`, optionally guided by `image`.
+    /// Maps `g`, optionally guided by `image`. A structural mapper
+    /// takes `g`'s match index from `matches`, building it there if no
+    /// earlier mapper did.
     ///
     /// # Errors
     ///
@@ -52,6 +55,7 @@ pub trait Mapper {
         &self,
         g: &SubjectGraph,
         image: Option<&MapImage<'_>>,
+        matches: &MatchSlot,
     ) -> Result<MapResult, MapError>;
 }
 
@@ -72,8 +76,9 @@ impl Mapper for MisMapper<'_> {
         &self,
         g: &SubjectGraph,
         _image: Option<&MapImage<'_>>,
+        matches: &MatchSlot,
     ) -> Result<MapResult, MapError> {
-        self.map(g)
+        self.map_with(g, matches)
     }
 }
 
@@ -94,9 +99,10 @@ impl Mapper for LilyMapper<'_> {
         &self,
         g: &SubjectGraph,
         image: Option<&MapImage<'_>>,
+        matches: &MatchSlot,
     ) -> Result<MapResult, MapError> {
         let image = image.ok_or(MapError::MissingPlacement { expected: g.node_count(), got: 0 })?;
-        self.map(g, image.positions, image.output_pads)
+        self.map_with(g, image.positions, image.output_pads, matches)
     }
 }
 
@@ -117,6 +123,7 @@ impl Mapper for CutMapper<'_> {
         &self,
         g: &SubjectGraph,
         image: Option<&MapImage<'_>>,
+        _matches: &MatchSlot,
     ) -> Result<MapResult, MapError> {
         let image = image.ok_or(MapError::MissingPlacement { expected: g.node_count(), got: 0 })?;
         self.map(g, image.positions, image.output_pads)
@@ -141,17 +148,21 @@ mod tests {
     fn mis_ignores_image_and_lily_requires_it() {
         let lib = Library::big();
         let g = tiny_graph();
+        let slot = MatchSlot::default();
         let mis = MisMapper::new(&lib);
         assert!(!Mapper::needs_image(&mis));
-        assert!(mis.map_subject(&g, None).is_ok());
+        assert!(mis.map_subject(&g, None, &slot).is_ok());
 
         let lily = LilyMapper::new(&lib);
         assert!(Mapper::needs_image(&lily));
-        assert!(matches!(lily.map_subject(&g, None), Err(MapError::MissingPlacement { .. })));
+        assert!(matches!(
+            lily.map_subject(&g, None, &slot),
+            Err(MapError::MissingPlacement { .. })
+        ));
         let positions = vec![Point::new(0.0, 0.0), Point::new(0.0, 10.0), Point::new(5.0, 5.0)];
         let pads = vec![Point::new(20.0, 5.0)];
         let image = MapImage { positions: &positions, output_pads: &pads };
-        let r = lily.map_subject(&g, Some(&image)).unwrap();
+        let r = lily.map_subject(&g, Some(&image), &slot).unwrap();
         assert_eq!(r.mapped.cell_count(), 1);
     }
 }

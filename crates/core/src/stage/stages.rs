@@ -467,11 +467,12 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Ma
         }
         let mapper = Self::select(lib, &options);
         let constructive = options.constructive_placement && mapper.constructive();
+        let matches = ctx.matches.clone();
         let result = if mapper.needs_image() {
             match image.and_then(|i| i.positions.as_deref()) {
                 Some(positions) => {
                     let img = MapImage { positions, output_pads: plan.output_pads(g) };
-                    mapper.map_subject(g, Some(&img))?
+                    mapper.map_subject(g, Some(&img), &matches)?
                 }
                 None => {
                     // First rung of the ladder: a degenerate layout
@@ -485,11 +486,11 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Ma
                         .mode(options.mode)
                         .partition(options.partition)
                         .wire_cap_per_fanout(options.physical.mis_wire_cap_per_fanout)
-                        .map(g)?
+                        .map_with(g, &matches)?
                 }
             }
         } else {
-            mapper.map_subject(g, None)?
+            mapper.map_subject(g, None, &matches)?
         };
         let mut mapped = result.mapped;
         if let Some(limit) = options.fanout_limit {

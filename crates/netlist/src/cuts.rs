@@ -315,7 +315,7 @@ impl Candidate {
 /// Reusable buffers for [`enumerate_node`]: the candidate, kept and
 /// fanin-record buffers survive across nodes, so once they have grown to
 /// the widest node the steady state allocates nothing but the stored cut
-/// sets. Mirrors `MatchScratch` in the structural matcher.
+/// sets.
 #[derive(Debug, Default)]
 pub struct CutScratch {
     candidates: Vec<Candidate>,
@@ -338,8 +338,9 @@ impl CutScratch {
 
     /// `(candidate-buffer acquisitions, fresh growth allocations)`:
     /// each [`enumerate_node`] call on an internal node acquires its
-    /// candidate and kept buffers (plus the fanin records of a NAND2), and an acquisition that must grow its buffer counts one
-    /// allocation — reuse telemetry in the spirit of `MatchScratch::stats`.
+    /// candidate and kept buffers (plus the fanin records of a NAND2),
+    /// and an acquisition that must grow its buffer counts one
+    /// allocation.
     pub fn stats(&self) -> (u64, u64) {
         (self.acquisitions, self.allocations)
     }

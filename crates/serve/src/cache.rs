@@ -1,4 +1,4 @@
-//! Process-wide warm cache of built libraries and match scratch.
+//! Process-wide warm cache of built libraries.
 //!
 //! Building a [`Library`] materializes every gate's pattern-graph
 //! decompositions — the expensive, perfectly reusable part of serving
@@ -6,17 +6,12 @@
 //! library (not the request string), so two names that resolve to the
 //! same gates share one entry, and the fingerprint doubles as a
 //! client-visible cache identity.
-//!
-//! Each entry also owns a pool of [`MatchScratch`] buffers: probe
-//! jobs borrow one instead of re-growing fresh match bindings per
-//! request, and return it grown for the next borrower.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use lily_cells::Library;
-use lily_core::matching::MatchScratch;
 
 /// FNV-1a over the observable shape of a built library: name, then
 /// per gate its name, fanin, function bits, area bits, and pattern
@@ -47,39 +42,19 @@ pub fn library_fingerprint(lib: &Library) -> u64 {
     h
 }
 
-/// One cached library plus its scratch pool.
+/// One cached library.
 #[derive(Debug)]
 pub struct CacheEntry {
     /// The built library, shared by every concurrent job using it.
     pub library: Arc<Library>,
     /// The entry's cache key.
     pub fingerprint: u64,
-    scratch: Mutex<Vec<MatchScratch>>,
 }
 
 impl CacheEntry {
     fn new(library: Library) -> Self {
         let fingerprint = library_fingerprint(&library);
-        Self { library: Arc::new(library), fingerprint, scratch: Mutex::new(Vec::new()) }
-    }
-
-    /// Borrows a pooled scratch buffer for the duration of `f`,
-    /// returning it (grown) to the pool afterwards — even when `f`
-    /// panics the entry stays usable because the scratch was moved
-    /// out of the pool first.
-    pub fn with_scratch<R>(&self, f: impl FnOnce(&mut MatchScratch) -> R) -> R {
-        let mut scratch =
-            self.scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
-        let mut s = scratch.take().unwrap_or_default();
-        let out = f(&mut s);
-        self.scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(s);
-        out
-    }
-
-    /// How many scratch buffers the pool currently holds.
-    #[must_use]
-    pub fn pooled_scratch(&self) -> usize {
-        self.scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        Self { library: Arc::new(library), fingerprint }
     }
 }
 
@@ -189,16 +164,5 @@ mod tests {
             library_fingerprint(&Library::big_sized()),
             "sizing variants must not share cache entries"
         );
-    }
-
-    #[test]
-    fn scratch_pool_recycles_buffers() {
-        let cache = LibraryCache::new();
-        let (entry, _) = cache.get("tiny").unwrap();
-        assert_eq!(entry.pooled_scratch(), 0);
-        entry.with_scratch(|_s| ());
-        assert_eq!(entry.pooled_scratch(), 1);
-        entry.with_scratch(|_s| ());
-        assert_eq!(entry.pooled_scratch(), 1, "buffer came from the pool and went back");
     }
 }

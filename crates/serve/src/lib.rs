@@ -16,8 +16,8 @@
 //! - **Deadlines & disconnects**: a per-request [`CancelToken`]
 //!   (child of the process-wide shutdown token) is installed as the
 //!   ambient token during the job, so it reaches every stage attempt.
-//! - **Warm cache** ([`cache`]): built libraries and match scratch
-//!   pools keyed by library fingerprint, with hit/miss counters.
+//! - **Warm cache** ([`cache`]): built libraries keyed by library
+//!   fingerprint, with hit/miss counters.
 //! - **Resumable jobs**: checkpoint manifests double as wire-level
 //!   job state; kill the server mid-job, restart it, resend the
 //!   request, and the flow resumes bit-identically.

@@ -99,9 +99,8 @@ pub struct MapRequest {
     pub kill_after: Option<String>,
 }
 
-/// A match-enumeration probe: decompose the network and enumerate
-/// matches at every internal node using the warm cache's pooled
-/// scratch buffers.
+/// A match-enumeration probe: decompose the network and build its
+/// structural match index on the warm cache's library.
 #[derive(Debug, Clone)]
 pub struct ProbeRequest {
     /// Client-chosen id echoed on the reply frame.

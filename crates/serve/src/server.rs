@@ -913,16 +913,14 @@ fn run_probe(inner: &Arc<Inner>, job: &Job, req: &ProbeRequest) {
         let net = resolve_network(&req.source)?;
         let g =
             decompose(&net, DecomposeOrder::Balanced).map_err(|e| ("netlist", e.to_string()))?;
-        let total = entry.with_scratch(|scratch| {
-            let mut total = 0usize;
-            for v in g.node_ids() {
-                if job.cancel.is_cancelled() {
-                    return Err(("cancelled-probe", String::new()));
-                }
-                total += lily_core::matching::matches_at_with(&g, &entry.library, v, scratch).len();
+        // The build polls the ambient token, which is the job's.
+        let total = match lily_core::MatchIndex::build(&g, &entry.library) {
+            Ok(idx) => idx.total(),
+            Err(lily_core::MapError::Cancelled { .. }) => {
+                return Err(("cancelled-probe", String::new()))
             }
-            Ok(total)
-        })?;
+            Err(e) => return Err((error_kind(&e), e.to_string())),
+        };
         Ok((g.node_count(), total, if hit { "hit" } else { "miss" }))
     })();
     match step {

@@ -236,7 +236,7 @@ fn healthy_map_streams_stages_then_done() {
 }
 
 #[test]
-fn probe_uses_the_warm_scratch_pool() {
+fn probe_reports_the_match_index_size() {
     let (addr, _server) = boot(ServerConfig::default());
     let mut c = connect(addr);
     let req = ProbeRequest {
@@ -248,8 +248,14 @@ fn probe_uses_the_warm_scratch_pool() {
     let events = c.drive(21).unwrap();
     let done = events.last().unwrap();
     assert_eq!(done.event, "done");
-    assert!(done.body.get("nodes").and_then(|n| n.as_u64()).unwrap_or(0) > 0);
-    assert!(done.body.get("matches").and_then(|n| n.as_u64()).unwrap_or(0) > 0);
+    let g = lily_netlist::decompose::decompose(
+        &lily_workloads::circuits::circuit("misex1"),
+        lily_netlist::decompose::DecomposeOrder::Balanced,
+    )
+    .unwrap();
+    let idx = lily_core::MatchIndex::build(&g, &lily_cells::Library::tiny()).unwrap();
+    assert_eq!(done.body.get("nodes").and_then(|n| n.as_u64()), Some(g.node_count() as u64));
+    assert_eq!(done.body.get("matches").and_then(|n| n.as_u64()), Some(idx.total() as u64));
     shutdown(addr);
 }
 

@@ -47,7 +47,7 @@ fi
 
 for field in '"bench":"flow"' '"generated_at":"' '"threads_available":' \
              '"samples":' '"match_build_ns":' '"cg_solve_ns":' \
-             '"compare_flows_ns":' '"stages":' '"scratch_fresh_allocations":'; do
+             '"compare_flows_ns":' '"stages":' '"cuts":'; do
     if ! grep -q "$field" "$out"; then
         echo "bench_smoke: field $field missing from BENCH_flow JSON" >&2
         status=1

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Stress the determinism contract of the lily-par runtime: the
-# stage_equiv bit-pattern goldens and the dp_reuse placed-cover hashes
-# must pass unchanged at 1, 2, and 8 threads, and the lily-check
+# stage_equiv bit-pattern goldens, the dp_reuse placed-cover hashes and
+# the match_exact match-index hashes must pass unchanged at 1, 2, and 8
+# threads, and the lily-check
 # metrics JSON must be identical across thread counts once the fields
 # that legitimately vary with parallelism (wall times, measured
 # speedups, the recorded thread count) are normalized away.
@@ -24,6 +25,8 @@ for t in 1 2 8; do
     LILY_THREADS="$t" cargo test --release --quiet -p lily-check --test stage_equiv
     echo "par_stress: dp_reuse cover hashes at LILY_THREADS=$t"
     LILY_THREADS="$t" cargo test --release --quiet -p lily-core --test dp_reuse
+    echo "par_stress: match_exact index hashes at LILY_THREADS=$t"
+    LILY_THREADS="$t" cargo test --release --quiet -p lily-core --test match_exact
 done
 
 run_check() {
