@@ -6,82 +6,11 @@
 //! that times closures through [`Harness::bench`] and prints one line per
 //! measurement: median, minimum, and maximum over the sample count.
 //!
-//! The JSON-emitting benchmark binaries (`bench_flow`, `bench_scale`)
-//! share the run/percentile/stamp plumbing here too: [`env_samples`],
-//! [`median_ns`], [`iso8601_now`], and [`stages_json`].
-//!
-//! Sample count defaults to 10 (binaries pass their own default through
-//! [`env_samples`]) and can be overridden with the `LILY_BENCH_SAMPLES`
-//! environment variable.
+//! Sample count defaults to 10 and can be overridden with the
+//! `LILY_BENCH_SAMPLES` environment variable.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-use lily_core::json::{array, JsonObject};
-use lily_core::StageRecord;
-
-/// The `LILY_BENCH_SAMPLES` sample count, or `default` when unset or
-/// unparsable.
-pub fn env_samples(default: usize) -> usize {
-    std::env::var("LILY_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// Median wall time of `f` over `samples` timed runs, in nanoseconds
-/// (one untimed warmup run first).
-pub fn median_ns<T>(samples: usize, mut f: impl FnMut() -> T) -> u64 {
-    black_box(f());
-    let mut times: Vec<u64> = (0..samples.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(f());
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-/// Days-since-epoch to civil date (Howard Hinnant's `civil_from_days`),
-/// so the stamp needs no external time crate.
-fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = (z - era * 146_097) as u64;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe as i64 + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-/// The current UTC time as an ISO-8601 `YYYY-MM-DDThh:mm:ssZ` string.
-pub fn iso8601_now() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days((secs / 86_400) as i64);
-    let rem = secs % 86_400;
-    format!("{y:04}-{m:02}-{d:02}T{:02}:{:02}:{:02}Z", rem / 3600, (rem % 3600) / 60, rem % 60)
-}
-
-/// The per-stage wall-time table of a flow run as a JSON array string.
-pub fn stages_json(records: &[StageRecord]) -> String {
-    array(records.iter().map(|r| {
-        JsonObject::new()
-            .string("stage", r.stage)
-            .uint("wall_ns", r.wall_ns)
-            .uint("size", r.size as u64)
-            .string("unit", r.unit)
-            .finish()
-    }))
-}
 
 /// Runs and reports timed closures.
 #[derive(Debug, Clone)]

@@ -700,9 +700,9 @@ fn resolve_network(source: &Source) -> Result<Network, (&'static str, String)> {
 }
 
 /// Estimated peak bytes for a map request, from the parsed node count
-/// of its source through the model fitted to `BENCH_scale.json`
-/// (decompose expands ~4×, each subject node costs ~512 B across the
-/// flow's live artifacts).
+/// of its source through the [`estimate_peak_bytes`] model (decompose
+/// expands ~4× on generated DAGs, each subject node costs ~512 B
+/// across the flow's live artifacts).
 fn job_cost(req: &MapRequest) -> u64 {
     let nodes = match &req.source {
         Source::Blif(text) => (text.matches(".names").count() as u64).saturating_add(16),

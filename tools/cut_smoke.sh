@@ -10,11 +10,13 @@
 #   2. the metrics JSON is byte-identical across thread counts once the
 #      fields parallelism may change (wall times, speedups, thread
 #      count) are normalized away — the determinism contract, and
-#   3. the map stage's wall time does not regress past 2x the
-#      checked-in lily baseline for misex1 in BENCH_flow.json — the
-#      cut mapper is supposed to be *faster* than the structural
-#      matcher, so costing twice the baseline means the priority
-#      enumeration has degenerated.
+#   3. the 1-thread map stage on misex1 stays under 2x the lily
+#      mapper's, both timed in this run (median of three interleaved
+#      runs each). On a circuit this small the cut mapper is not faster
+#      than the structural matcher (about 1.6x its map time); it wins
+#      on large DAGs (random-dag-2000: ~0.15 s vs ~0.9 s map). Costing
+#      more than twice Lily means the priority enumeration has
+#      degenerated.
 #
 # Usage: tools/cut_smoke.sh [path-to-lily-check]
 # (defaults to `cargo run --release --bin lily-check --`).
@@ -30,17 +32,18 @@ trap 'rm -rf "$tmp"' EXIT
 
 bin="${1:-}"
 
-# run_check <threads> <metrics-json> <lily-check input args...>
-run_check() {
-    threads="$1"
-    json="$2"
-    shift 2
+# run_flow <flow> <threads> <metrics-json> <lily-check input args...>
+run_flow() {
+    flow="$1"
+    threads="$2"
+    json="$3"
+    shift 3
     if [ -n "$bin" ]; then
-        "$bin" "$@" --flow cut-area --threads "$threads" \
+        "$bin" "$@" --flow "$flow" --threads "$threads" \
             --metrics-json "$json" >/dev/null
     else
         cargo run --release --quiet --bin lily-check -- \
-            "$@" --flow cut-area --threads "$threads" \
+            "$@" --flow "$flow" --threads "$threads" \
             --metrics-json "$json" >/dev/null
     fi
 }
@@ -62,7 +65,7 @@ check_round() {
     shift
     for t in 1 2 8; do
         echo "cut_smoke: cut-area flow on $* at LILY_THREADS=$t"
-        run_check "$t" "$tmp/${prefix}_$t.json" "$@"
+        run_flow cut-area "$t" "$tmp/${prefix}_$t.json" "$@"
         normalize "$tmp/${prefix}_$t.json" > "$tmp/${prefix}_$t.norm"
     done
     for t in 2 8; do
@@ -78,25 +81,39 @@ check_round metrics --circuit misex1
 check_round dag_metrics --gen random-dag --gen-nodes 2000
 check_round adder_metrics --gen tree-adder --gen-nodes 4000
 
-# Map-stage wall-time guard. The baseline is the misex1 lily-mapper map
-# stage recorded in the checked-in BENCH_flow.json; the single-thread
-# cut run must stay under 2x that. Skipped (with a note) when either
-# number cannot be extracted, so the determinism checks still gate.
-baseline="$(tr ',' '\n' < BENCH_flow.json \
-    | grep -A2 '"stage":"map"' | grep -m1 '"wall_ns"' \
-    | sed 's/[^0-9]//g')" || baseline=""
-cut_map="$(tr ',' '\n' < "$tmp/metrics_1.json" \
-    | grep -A2 '"stage":"map"' | grep -m1 '"wall_ns"' \
-    | sed 's/[^0-9]//g')" || cut_map=""
-if [ -n "$baseline" ] && [ -n "$cut_map" ]; then
-    limit=$((baseline * 2))
-    echo "cut_smoke: map stage ${cut_map} ns (lily baseline ${baseline} ns, limit ${limit} ns)"
-    if [ "$cut_map" -gt "$limit" ]; then
-        echo "cut_smoke: cut mapper map stage regressed past 2x the baseline" >&2
+# Map-stage wall-time guard against a lily baseline from this run:
+# three interleaved 1-thread misex1 runs per mapper, median of each.
+# A wall time that cannot be extracted fails the script.
+map_ns() {
+    tr ',' '\n' < "$1" | grep -A2 '"stage":"map"' | grep -m1 '"wall_ns"' \
+        | sed 's/[^0-9]//g'
+}
+: > "$tmp/lily_times"
+: > "$tmp/cut_times"
+for i in 1 2 3; do
+    for mapper in lily cut; do
+        run_flow "$mapper-area" 1 "$tmp/time.json" --circuit misex1
+        map_ns "$tmp/time.json" >> "$tmp/${mapper}_times"
+    done
+done
+# median <times-file>: the middle of three integers, or empty.
+median() {
+    if [ "$(grep -c '^[0-9][0-9]*$' "$1")" -eq 3 ]; then
+        sort -n "$1" | sed -n 2p
+    fi
+}
+lily_map="$(median "$tmp/lily_times")"
+cut_map="$(median "$tmp/cut_times")"
+if [ -n "$lily_map" ] && [ -n "$cut_map" ]; then
+    ratio="$(awk "BEGIN { printf \"%.2f\", $cut_map / $lily_map }")"
+    echo "cut_smoke: misex1 map stage: cut ${cut_map} ns, lily ${lily_map} ns, ratio ${ratio}x (limit 2x)"
+    if [ "$cut_map" -gt $((lily_map * 2)) ]; then
+        echo "cut_smoke: cut mapper map stage regressed past 2x the lily mapper's" >&2
         status=1
     fi
 else
-    echo "cut_smoke: note: could not extract map wall times; skipping the timing guard"
+    echo "cut_smoke: could not extract the misex1 map wall times" >&2
+    status=1
 fi
 
 if [ "$status" -eq 0 ]; then
