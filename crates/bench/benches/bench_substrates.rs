@@ -1,13 +1,13 @@
 //! Micro-benchmarks of the substrate algorithms: wire estimators
 //! (HPWL / spanning tree / iterated 1-Steiner), the CG quadratic solve,
-//! pattern-match enumeration, global routing, and FM refinement.
+//! pattern-match enumeration, and global routing.
 
 use lily_bench::harness::Harness;
 use lily_cells::Library;
 use lily_core::MatchIndex;
 use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_place::{try_solve_quadratic, Point, SubjectPlacement};
-use lily_route::{net_length, WireModel};
+use lily_route::{net_length, rsmt_length, WireModel};
 use lily_workloads::circuits;
 
 fn random_net(pins: usize, seed: u64) -> Vec<Point> {
@@ -27,10 +27,10 @@ fn bench_wire_models(h: &Harness) {
         for (label, model) in [
             ("hpwl_steiner", WireModel::HalfPerimeterSteiner),
             ("spanning_tree", WireModel::SpanningTree),
-            ("rsmt", WireModel::Rsmt),
         ] {
             h.bench("wire_models", &format!("{label}/{pins}"), || net_length(model, &net));
         }
+        h.bench("wire_models", &format!("rsmt/{pins}"), || rsmt_length(&net));
     }
 }
 
@@ -77,25 +77,10 @@ fn bench_groute(h: &Harness) {
     }
 }
 
-fn bench_fm(h: &Harness) {
-    use lily_place::fm::{refine, FmInstance, FmOptions};
-    for n in [64usize, 256] {
-        // Ring + chords instance.
-        let mut nets: Vec<Vec<usize>> = (0..n).map(|i| vec![i, (i + 1) % n]).collect();
-        nets.extend((0..n / 4).map(|i| vec![i, (i * 7 + 3) % n]));
-        let inst = FmInstance { cells: n, nets, weights: vec![1.0; n] };
-        h.bench("fm_refinement", &format!("refine/{n}"), || {
-            let mut side: Vec<bool> = (0..inst.cells).map(|i| i % 2 == 1).collect();
-            refine(&inst, &mut side, &FmOptions::default())
-        });
-    }
-}
-
 fn main() {
     let h = Harness::new();
     bench_wire_models(&h);
     bench_quadratic_solve(&h);
     bench_matching(&h);
     bench_groute(&h);
-    bench_fm(&h);
 }

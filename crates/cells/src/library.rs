@@ -160,8 +160,8 @@ impl Library {
 
     /// The big library extended with double-drive (`_x2`) variants of
     /// every gate: ~1.5× area, half the output resistance, 1.8× the pin
-    /// capacitance. Delay-mode mapping and the load-driven sizing pass
-    /// pick them up under heavy loads; area mode ignores them.
+    /// capacitance. Delay-mode mapping picks them up under heavy loads;
+    /// area mode ignores them.
     pub fn big_sized() -> Self {
         let base = Self::big();
         let mut gates = base.gates.clone();
@@ -192,12 +192,6 @@ impl Library {
         // Keep the unit-drive inverter designated.
         lib.inverter = base.inverter;
         lib
-    }
-
-    /// The double-drive variant of `gate`, when the library carries one
-    /// (`<name>_x2`).
-    pub fn upsized(&self, gate: GateId) -> Option<GateId> {
-        self.find(&format!("{}_x2", self.gate(gate).name()))
     }
 
     /// The big library scaled to the 1µ process (Table 2's setup: the

@@ -41,7 +41,6 @@ use lily_fault::{FaultPlan, FaultReport};
 use lily_netlist::decompose::DecomposeOrder;
 use lily_netlist::subject::SubjectKind;
 use lily_netlist::{Network, SubjectGraph};
-use lily_place::AreaModel;
 
 pub use crate::stage::mapped_problem;
 
@@ -77,21 +76,9 @@ pub enum FlowMapper {
 /// struct-update syntax on `FlowOptions` leaves all of them intact.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysicalOptions {
-    /// Chip-area model shared by both pipelines.
-    pub area_model: AreaModel,
-    /// Detailed-placement improvement passes.
-    pub improvement_passes: usize,
-    /// Congestion detour gain for the routed-length model.
-    pub detour_gain: f64,
-    /// Routing supply per µm² for the congestion grid.
-    pub route_supply: f64,
     /// Estimated mapped-area per inchoate base gate, in layout grids
     /// (sizes Lily's pre-mapping layout image).
     pub grids_per_base_gate: f64,
-    /// Per-fanout wire capacitance handed to the MIS baseline in delay
-    /// mode, pF (MIS 2.1 models `C_w` as a function of the fanout
-    /// count; paper §4.2).
-    pub mis_wire_cap_per_fanout: f64,
     /// Measure wire with the congestion-aware pattern global router
     /// instead of the Steiner + detour-factor model. Off by default
     /// (the published tables use the detour model).
@@ -121,12 +108,7 @@ pub struct PhysicalOptions {
 impl Default for PhysicalOptions {
     fn default() -> Self {
         Self {
-            area_model: AreaModel::mcnc(),
-            improvement_passes: 2,
-            detour_gain: 0.3,
-            route_supply: 0.35,
             grids_per_base_gate: 1.5,
-            mis_wire_cap_per_fanout: 0.03,
             global_router: false,
             multilevel_threshold: 5_000,
             detailed_place_max_cells: 25_000,

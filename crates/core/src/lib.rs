@@ -27,7 +27,6 @@ pub mod baseline;
 pub mod checkpoint;
 pub mod cover;
 pub mod cuts;
-pub mod decomp;
 pub mod error;
 pub mod experiments;
 pub mod fanout;
@@ -39,7 +38,6 @@ pub mod mem;
 pub mod plot;
 pub mod position;
 pub mod rects;
-pub mod sizing;
 pub mod stage;
 
 pub use baseline::MisMapper;

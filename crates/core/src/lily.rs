@@ -34,7 +34,7 @@ use crate::rects::{fanin_rect, fanout_points, is_input, unmapped_fanout_count};
 use lily_cells::{GateId, Library};
 use lily_netlist::{NodeState, SubjectGraph, SubjectNodeId};
 use lily_place::{Point, Rect};
-use lily_route::{chung_hwang_factor, net_length_with, RsmtScratch, WireModel};
+use lily_route::{chung_hwang_factor, net_length_with, PrimScratch, WireModel};
 use lily_timing::{block_arrival, ld_arrival, unateness, Arrival};
 
 /// Layout-related knobs of the Lily mapper.
@@ -386,7 +386,7 @@ pub(crate) fn run_placed_dp(
     let mut fans = FanLists::default();
     let mut pts: Vec<Point> = Vec::new();
     let (mut rects, mut xs, mut ys) = (Vec::new(), Vec::new(), Vec::new());
-    let mut tree = RsmtScratch::default();
+    let mut tree = PrimScratch::default();
     let mut blocks: Vec<Arrival> = Vec::new();
 
     for scope in &scopes {

@@ -70,18 +70,6 @@ impl StageMetrics {
     pub fn set_threads_used(&mut self, threads: usize) {
         self.threads_used = threads;
     }
-
-    /// Per-stage speedup against a sequential baseline run of the same
-    /// pipeline: `(stage, baseline wall / this wall)` for every stage
-    /// present in both tables (matched by name, first occurrence).
-    pub fn speedups_vs<'a>(
-        &'a self,
-        baseline: &'a StageMetrics,
-    ) -> impl Iterator<Item = (&'static str, f64)> + 'a {
-        self.records.iter().filter_map(|r| {
-            baseline.get(r.stage).map(|b| (r.stage, b.wall_ns as f64 / r.wall_ns as f64))
-        })
-    }
 }
 
 #[cfg(test)]

@@ -25,12 +25,25 @@ use lily_place::anneal::{try_anneal, AnnealOptions};
 use lily_place::global::{try_global_place, GlobalOptions};
 use lily_place::legalize::{improve, legalize, LegalizeOptions, Legalized};
 use lily_place::multilevel::{MultilevelOptions, MultilevelSystem};
-use lily_place::{assign_pads, PinRef, PlacementProblem, Point, Rect, SubjectPlacement};
+use lily_place::{assign_pads, AreaModel, PinRef, PlacementProblem, Point, Rect, SubjectPlacement};
 use lily_route::congestion::{deposit_rows, STRIPE_ROWS};
 use lily_route::{rsmt_length_with, BinBox, CongestionGrid, RsmtScratch};
 use lily_timing::load::WireLoad;
 use lily_timing::sta::{try_analyze, StaOptions, StaResult};
 use lily_timing::Arrival;
+
+/// Chip-area model shared by both pipelines.
+const AREA_MODEL: AreaModel = AreaModel::mcnc();
+/// Detailed-placement improvement passes.
+const IMPROVEMENT_PASSES: usize = 2;
+/// Congestion detour gain for the routed-length model.
+const DETOUR_GAIN: f64 = 0.3;
+/// Routing supply per µm² for the congestion grid.
+const ROUTE_SUPPLY: f64 = 0.35;
+/// Per-fanout wire capacitance handed to the MIS baseline in delay
+/// mode, pF (MIS 2.1 models `C_w` as a function of the fanout count;
+/// paper §4.2).
+const MIS_WIRE_CAP_PER_FANOUT: f64 = 0.03;
 
 // ---------------------------------------------------------------------
 // Stage 1: Decompose
@@ -140,7 +153,7 @@ impl PadPlan {
             * options.physical.grids_per_base_gate
             * tech.grid_width
             * tech.row_height;
-        let core = options.physical.area_model.core_region(est_area);
+        let core = AREA_MODEL.core_region(est_area);
         let mut placement = SubjectPlacement::new(g);
         let problem = &placement.problem;
         let mut system = None;
@@ -409,7 +422,7 @@ impl Map {
                 MisMapper::new(lib)
                     .mode(options.mode)
                     .partition(options.partition)
-                    .wire_cap_per_fanout(options.physical.mis_wire_cap_per_fanout),
+                    .wire_cap_per_fanout(MIS_WIRE_CAP_PER_FANOUT),
             ),
             FlowMapper::Lily => Box::new(
                 LilyMapper::new(lib)
@@ -485,7 +498,7 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Ma
                     MisMapper::new(lib)
                         .mode(options.mode)
                         .partition(options.partition)
-                        .wire_cap_per_fanout(options.physical.mis_wire_cap_per_fanout)
+                        .wire_cap_per_fanout(MIS_WIRE_CAP_PER_FANOUT)
                         .map_with(g, &matches)?
                 }
             }
@@ -645,7 +658,7 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
 
         // Resize the core to the real mapped area and rescale the pads
         // onto it; both pipelines share the same pad ring shape.
-        let core = options.physical.area_model.core_region(mapped.instance_area(lib));
+        let core = AREA_MODEL.core_region(mapped.instance_area(lib));
         let pads: Vec<Point> = plan.pads().iter().map(|p| rescale(*p, plan.core, core)).collect();
         apply_pads(&mut mapped, &pads);
 
@@ -715,11 +728,8 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
         let legal = if widths.is_empty() {
             None
         } else {
-            let lopts = LegalizeOptions {
-                core,
-                row_height: tech.row_height,
-                passes: options.physical.improvement_passes,
-            };
+            let lopts =
+                LegalizeOptions { core, row_height: tech.row_height, passes: IMPROVEMENT_PASSES };
             let desired = match options.detailed_placer {
                 DetailedPlacer::Greedy => desired,
                 DetailedPlacer::Anneal { seed } => {
@@ -858,7 +868,7 @@ impl Stage<LegalPlacement> for DetailedPlace {
                 let lopts = LegalizeOptions {
                     core,
                     row_height: tech.row_height,
-                    passes: ctx.options.physical.improvement_passes,
+                    passes: IMPROVEMENT_PASSES,
                 };
                 let better = improve(&legal, &widths, &problem.nets, &fixed, &lopts);
                 for (i, p) in better.positions.iter().enumerate() {
@@ -976,8 +986,7 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
         let par = ParOptions::current();
         let points: Vec<Vec<Point>> =
             mapped.nets().iter().map(|n| lily_timing::load::net_points(mapped, n)).collect();
-        let mut grid =
-            CongestionGrid::for_core(core, tech.row_height, options.physical.route_supply);
+        let mut grid = CongestionGrid::for_core(core, tech.row_height, ROUTE_SUPPLY);
         // Each net's congestion-bin box and Steiner length.
         let sized: Vec<(Option<BinBox>, f64)> =
             lily_par::par_map_init(&par, &points, RsmtScratch::default, |scratch, pts| {
@@ -990,25 +999,21 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
             // detour gain.
             let nx = ((core.width() / tech.row_height).ceil() as usize).max(1);
             let ny = ((core.height() / tech.row_height).ceil() as usize).max(1);
-            let cap =
-                options.physical.route_supply * tech.row_height * tech.row_height / tech.wire_pitch;
+            let cap = ROUTE_SUPPLY * tech.row_height * tech.row_height / tech.wire_pitch;
             let mut router = lily_route::GlobalRouteGrid::new(core, nx, ny, cap, cap);
             let summary = router.route_all(&points);
             summary.wirelength
-                * (1.0
-                    + options.physical.detour_gain * summary.overflow
-                        / (summary.connections.max(1) as f64))
+                * (1.0 + DETOUR_GAIN * summary.overflow / (summary.connections.max(1) as f64))
         } else {
             let table = grid.overflow_table();
-            let gain = options.physical.detour_gain;
             let routed = lily_par::par_map(&par, &sized, |&(bbox, len)| {
-                table.routed_length(bbox, len, gain)
+                table.routed_length(bbox, len, DETOUR_GAIN)
             });
             routed.iter().sum()
         };
 
         let instance_area = mapped.instance_area(lib);
-        let chip_area = options.physical.area_model.chip_area(instance_area, wire_length);
+        let chip_area = AREA_MODEL.chip_area(instance_area, wire_length);
         // Channel-density area model (rows + channel tracks).
         let n_rows = ((core.height() / tech.row_height).floor() as usize).max(1);
         let row_ys: Vec<f64> =
@@ -1137,7 +1142,7 @@ impl<'a> Stage<&'a PlacedDesign> for Sta {
         let mut sta = Err(MapError::NonFiniteValue { context: "sta not attempted" });
         for (wire_load, fallback) in [
             (WireLoad::FromPlacement, "per-fanout"),
-            (WireLoad::PerFanout(ctx.options.physical.mis_wire_cap_per_fanout), "no-wire-load"),
+            (WireLoad::PerFanout(MIS_WIRE_CAP_PER_FANOUT), "no-wire-load"),
             (WireLoad::None, ""),
         ] {
             let attempt = if poison {

@@ -172,18 +172,3 @@ fn placed_covers_match_the_full_resolve_recordings() {
         assert_eq!(cover_hash(&r), want, "{what}: cover differs from the full re-solve");
     }
 }
-
-#[test]
-fn rsmt_placed_cover_matches_its_recording() {
-    // Iterated 1-Steiner prices every fanin net of every match: minutes
-    // on the 400-node DAG above, seconds on this one.
-    let (g, place, pads) = placed_subject(100);
-    let lay = LayoutOptions { wire_model: WireModel::Rsmt, ..LayoutOptions::default() };
-    let r = LilyMapper::new(&Library::big_1u())
-        .mode(MapMode::Delay)
-        .layout(lay)
-        .map(&g, &place, &pads)
-        .expect("map");
-    assert!(r.stats.dp_reused > 0, "no reuse exercised");
-    assert_eq!(cover_hash(&r), 0x4d86c9d01d38f706, "cover differs from the recording");
-}

@@ -179,15 +179,6 @@ impl CutStats {
         self.pruned_overflow += other.pruned_overflow;
         self.max_per_node = self.max_per_node.max(other.max_per_node);
     }
-
-    /// Mean stored cuts per node (0 on an empty graph).
-    pub fn mean_per_node(&self) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            self.kept as f64 / self.nodes as f64
-        }
-    }
 }
 
 /// One merge candidate: a leaf set of at most [`MAX_TT_INPUTS`] ids, its

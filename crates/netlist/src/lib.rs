@@ -50,7 +50,6 @@ pub mod lifecycle;
 pub mod network;
 pub mod sim;
 pub mod subject;
-pub mod transform;
 
 pub use cuts::{cut_cone, cut_table, Cut, CutConfig, CutCounts, CutScratch, CutSet, CutStats};
 pub use error::NetlistError;

@@ -27,7 +27,7 @@ pub struct AreaModel {
 
 impl AreaModel {
     /// Defaults matching `lily_cells::Technology::mcnc_3u`-era designs.
-    pub fn mcnc() -> Self {
+    pub const fn mcnc() -> Self {
         Self { row_height: 100.0, wire_pitch: 7.0, utilization: 0.40, aspect: 1.0 }
     }
 

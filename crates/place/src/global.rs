@@ -10,9 +10,8 @@
 //! placement would be premature here).
 
 use crate::error::PlaceError;
-use crate::fm::{refine, FmInstance, FmOptions};
 use crate::geom::{Point, Rect};
-use crate::quadratic::{try_solve_quadratic_under, Anchor, PinRef, PlacementProblem};
+use crate::quadratic::{try_solve_quadratic_under, Anchor, PlacementProblem};
 use lily_fault::CancelToken;
 
 /// Options for [`try_global_place`].
@@ -28,16 +27,12 @@ pub struct GlobalOptions {
     pub anchor_weight: f64,
     /// Hard cap on partitioning levels.
     pub max_levels: usize,
-    /// Refine each median split with Fiduccia–Mattheyses min-cut passes
-    /// (GORDIAN-style). Off by default: the geometric split is what the
-    /// published tables use; turn on for the ablation.
-    pub fm_refinement: bool,
 }
 
 impl GlobalOptions {
     /// Reasonable defaults for a given core region.
     pub fn for_region(region: Rect) -> Self {
-        Self { region, min_region: 4, anchor_weight: 0.02, max_levels: 12, fm_refinement: false }
+        Self { region, min_region: 4, anchor_weight: 0.02, max_levels: 12 }
     }
 }
 
@@ -125,12 +120,8 @@ pub(crate) fn try_global_place_under(
             });
             let half = sorted.len() / 2;
             let (lo, hi) = rect.split(axis);
-            let (mut lo_set, mut hi_set) = (sorted[..half].to_vec(), sorted[half..].to_vec());
-            if opts.fm_refinement {
-                fm_refine_split(problem, &mut lo_set, &mut hi_set);
-            }
-            next.push((lo, lo_set));
-            next.push((hi, hi_set));
+            next.push((lo, sorted[..half].to_vec()));
+            next.push((hi, sorted[half..].to_vec()));
         }
         regions = next;
         level += 1;
@@ -159,43 +150,6 @@ pub(crate) fn try_global_place_under(
         }
     }
     Ok(GlobalPlacement { positions, regions, levels: level, cg_iterations })
-}
-
-/// FM-refines a median split: reduces the number of nets spanning the
-/// two halves while keeping the halves within 10% of balance.
-fn fm_refine_split(problem: &PlacementProblem, lo: &mut Vec<usize>, hi: &mut Vec<usize>) {
-    let mut local: Vec<usize> = lo.iter().chain(hi.iter()).copied().collect();
-    local.sort_unstable();
-    let index_of: std::collections::BTreeMap<usize, usize> =
-        local.iter().enumerate().map(|(i, &m)| (m, i)).collect();
-    let mut nets = Vec::new();
-    for net in &problem.nets {
-        let pins: Vec<usize> = net
-            .iter()
-            .filter_map(|p| match p {
-                PinRef::Movable(m) => index_of.get(m).copied(),
-                PinRef::Fixed(_) => None,
-            })
-            .collect();
-        if pins.len() >= 2 {
-            nets.push(pins);
-        }
-    }
-    if nets.is_empty() {
-        return;
-    }
-    let inst = FmInstance { cells: local.len(), nets, weights: vec![1.0; local.len()] };
-    let mut side: Vec<bool> = local.iter().map(|m| hi.contains(m)).collect();
-    refine(&inst, &mut side, &FmOptions::default());
-    lo.clear();
-    hi.clear();
-    for (i, &m) in local.iter().enumerate() {
-        if side[i] {
-            hi.push(m);
-        } else {
-            lo.push(m);
-        }
-    }
 }
 
 /// A coarse balance metric: the ratio of the most-loaded to the
@@ -317,32 +271,6 @@ mod tests {
                 g.positions
             );
         }
-    }
-
-    #[test]
-    fn fm_refinement_runs_and_stays_balanced() {
-        let core = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-        let p = grid_problem(8, core);
-        let opts = GlobalOptions { fm_refinement: true, ..GlobalOptions::for_region(core) };
-        let g = global_place(&p, &opts);
-        for pt in &g.positions {
-            assert!(core.contains(*pt));
-        }
-        // Region occupancy still bounded and complete.
-        let mut seen = vec![false; p.movable];
-        for (_, modules) in &g.regions {
-            assert!(modules.len() <= 2 * opts.min_region, "region holds {}", modules.len());
-            for &m in modules {
-                assert!(!seen[m], "module {m} assigned twice");
-                seen[m] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-        // Quality: not wildly worse than the geometric split.
-        let plain = global_place(&p, &GlobalOptions::for_region(core));
-        let cost_fm = p.quadratic_cost(&g.positions);
-        let cost_plain = p.quadratic_cost(&plain.positions);
-        assert!(cost_fm <= cost_plain * 1.5, "fm {cost_fm} vs plain {cost_plain}");
     }
 
     #[test]

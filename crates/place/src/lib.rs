@@ -31,7 +31,6 @@
 pub mod anneal;
 pub mod area;
 pub mod error;
-pub mod fm;
 pub mod geom;
 pub mod global;
 pub mod legalize;
@@ -44,7 +43,6 @@ pub mod sparse;
 pub use anneal::{try_anneal, AnnealOptions, AnnealStats};
 pub use area::AreaModel;
 pub use error::PlaceError;
-pub use fm::{cut_size, refine as fm_refine, FmInstance, FmOptions};
 pub use geom::{Point, Rect};
 pub use global::{try_global_place, GlobalOptions};
 pub use multilevel::{

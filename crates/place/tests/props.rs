@@ -1,11 +1,10 @@
 //! Randomized tests of the placement substrate, driven by seeded
 //! deterministic sweeps: annealing never worsens the placement it
-//! returns, FM refinement never increases the cut, the CG solver solves
-//! random SPD systems, and legalization is complete.
+//! returns, the CG solver solves random SPD systems, and legalization is
+//! complete.
 
 use lily_netlist::sim::XorShift64;
 use lily_place::anneal::{try_anneal, AnnealOptions};
-use lily_place::fm::{cut_size, refine, FmInstance, FmOptions};
 use lily_place::legalize::{legalize, LegalizeOptions};
 use lily_place::sparse::{cg_solve, CsrBuilder};
 use lily_place::{PinRef, Point, Rect};
@@ -36,27 +35,6 @@ fn anneal_never_returns_a_worse_placement() {
         for pt in &p {
             assert!(core.contains(*pt));
         }
-    }
-}
-
-#[test]
-fn fm_never_increases_the_cut() {
-    let mut rng = XorShift64::new(22);
-    for _ in 0..32 {
-        let nets: Vec<Vec<usize>> = (0..rng.gen_range(4, 29))
-            .map(|_| (rng.gen_index(12), rng.gen_index(12)))
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| vec![a, b])
-            .collect();
-        if nets.is_empty() {
-            continue;
-        }
-        let inst = FmInstance { cells: 12, nets, weights: vec![1.0; 12] };
-        let mut side: Vec<bool> = (0..12).map(|_| rng.gen_bool(0.5)).collect();
-        let before = cut_size(&inst, &side);
-        let after = refine(&inst, &mut side, &FmOptions::default());
-        assert!(after <= before, "cut grew: {before} -> {after}");
-        assert_eq!(after, cut_size(&inst, &side));
     }
 }
 

@@ -1,8 +1,7 @@
 //! The net-length estimators the mapper chooses between (paper §3.4).
 
 use crate::hpwl::half_perimeter;
-use crate::rsmt::{rsmt_length_with, RsmtScratch};
-use crate::rst::rst_length_with;
+use crate::rst::{rst_length_with, PrimScratch};
 use crate::steiner_factor::chung_hwang_factor;
 use lily_place::Point;
 
@@ -17,40 +16,37 @@ pub enum WireModel {
     /// Rectilinear minimum spanning tree — the paper's alternative
     /// model.
     SpanningTree,
-    /// Iterated 1-Steiner rectilinear Steiner tree — the post-routing
-    /// measurement model.
-    Rsmt,
 }
 
 /// Estimated length of a net under the chosen model.
 pub fn net_length(model: WireModel, pins: &[Point]) -> f64 {
-    net_length_with(model, pins, &mut RsmtScratch::default())
+    net_length_with(model, pins, &mut PrimScratch::default())
 }
 
-/// [`net_length`] over caller-owned tree buffers: allocation-free once
-/// the buffers have grown to the largest net seen, and bit-identical.
-pub fn net_length_with(model: WireModel, pins: &[Point], scratch: &mut RsmtScratch) -> f64 {
+/// [`net_length`] over caller-owned spanning-tree buffers:
+/// allocation-free once the buffers have grown to the largest net seen,
+/// and bit-identical.
+pub fn net_length_with(model: WireModel, pins: &[Point], scratch: &mut PrimScratch) -> f64 {
     match model {
         WireModel::HalfPerimeterSteiner => {
             half_perimeter(pins) * chung_hwang_factor(pins.len().max(1))
         }
-        WireModel::SpanningTree => rst_length_with(pins, &mut scratch.prim),
-        WireModel::Rsmt => rsmt_length_with(pins, scratch),
+        WireModel::SpanningTree => rst_length_with(pins, scratch),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rsmt::rsmt_length;
 
     #[test]
     fn scratch_variant_is_bit_identical() {
-        let mut scratch = RsmtScratch::default();
+        let mut scratch = PrimScratch::default();
         for n in [0usize, 1, 2, 5, 9, 30] {
             let pins: Vec<Point> =
                 (0..n).map(|i| Point::new(((i * 7) % 11) as f64, ((i * 5) % 13) as f64)).collect();
-            for model in [WireModel::HalfPerimeterSteiner, WireModel::SpanningTree, WireModel::Rsmt]
-            {
+            for model in [WireModel::HalfPerimeterSteiner, WireModel::SpanningTree] {
                 let want = net_length(model, &pins).to_bits();
                 assert_eq!(net_length_with(model, &pins, &mut scratch).to_bits(), want);
             }
@@ -62,7 +58,7 @@ mod tests {
         let pins = [Point::new(0.0, 0.0), Point::new(5.0, 5.0)];
         let a = net_length(WireModel::HalfPerimeterSteiner, &pins);
         let b = net_length(WireModel::SpanningTree, &pins);
-        let c = net_length(WireModel::Rsmt, &pins);
+        let c = rsmt_length(&pins);
         assert!((a - 10.0).abs() < 1e-12);
         assert!((b - 10.0).abs() < 1e-12);
         assert!((c - 10.0).abs() < 1e-12);
@@ -80,7 +76,7 @@ mod tests {
     fn spanning_tree_upper_bounds_steiner() {
         let pins = [Point::new(0.0, 0.0), Point::new(10.0, 0.0), Point::new(5.0, 5.0)];
         let st = net_length(WireModel::SpanningTree, &pins);
-        let sm = net_length(WireModel::Rsmt, &pins);
+        let sm = rsmt_length(&pins);
         assert!(sm <= st);
     }
 }

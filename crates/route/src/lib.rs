@@ -34,5 +34,5 @@ pub use estimate::{net_length, net_length_with, WireModel};
 pub use groute::{GlobalRouteGrid, RouteSummary};
 pub use hpwl::{half_perimeter, net_extents};
 pub use rsmt::{rsmt_length, rsmt_length_with, RsmtScratch};
-pub use rst::rst_length;
+pub use rst::{rst_length, PrimScratch};
 pub use steiner_factor::chung_hwang_factor;

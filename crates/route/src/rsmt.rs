@@ -22,15 +22,14 @@ pub fn rsmt_length(pins: &[Point]) -> f64 {
     rsmt_length_with(pins, &mut RsmtScratch::default())
 }
 
-/// Reusable buffers for [`rsmt_length_with`] and
-/// [`crate::net_length_with`]: the tree's nodes, the Hanan grid
-/// coordinates, and the spanning-tree scratch.
+/// Reusable buffers for [`rsmt_length_with`]: the tree's nodes, the
+/// Hanan grid coordinates, and the spanning-tree scratch.
 #[derive(Debug, Clone, Default)]
 pub struct RsmtScratch {
     nodes: Vec<Point>,
     xs: Vec<f64>,
     ys: Vec<f64>,
-    pub(crate) prim: PrimScratch,
+    prim: PrimScratch,
 }
 
 /// [`rsmt_length`] over caller-owned buffers: allocation-free once the

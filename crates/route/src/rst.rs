@@ -19,10 +19,11 @@ pub fn rst_length(pins: &[Point]) -> f64 {
     rst_length_with(pins, &mut PrimScratch::default())
 }
 
-/// Reusable buffers for [`rst_length_with`]: Prim's state and the
-/// tree's edge lengths in pick order.
+/// Reusable buffers for [`crate::net_length_with`] and the spanning
+/// trees of [`crate::rsmt_length_with`]: Prim's state and the tree's
+/// edge lengths in pick order.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PrimScratch {
+pub struct PrimScratch {
     prim: Prim,
     edge_len: Vec<f64>,
 }

@@ -47,7 +47,7 @@ fn estimates_are_translation_invariant() {
         // The iterated 1-Steiner heuristic is NOT translation
         // invariant: near-equal-gain candidate ties flip under float
         // rounding and the greedy diverges. Only its bounds must hold.
-        let b = net_length(WireModel::Rsmt, &moved);
+        let b = rsmt_length(&moved);
         assert!(half_perimeter(&moved) <= b + 1e-9);
         assert!(b <= rst_length(&moved) + 1e-9);
     }

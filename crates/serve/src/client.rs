@@ -84,20 +84,6 @@ impl Client {
         Ok(())
     }
 
-    /// Sends raw bytes with no framing — deliberately malformed
-    /// traffic for chaos drills.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Wire`] on transport failure.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
-        use std::io::Write;
-        self.stream
-            .write_all(bytes)
-            .and_then(|()| self.stream.flush())
-            .map_err(|e| ClientError::Wire(WireError::Io { kind: e.kind().to_string() }))
-    }
-
     /// Receives one raw frame payload (for byte-level assertions —
     /// the resume drill compares `done` frames byte by byte).
     ///

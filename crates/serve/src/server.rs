@@ -701,8 +701,8 @@ fn resolve_network(source: &Source) -> Result<Network, (&'static str, String)> {
 
 /// Estimated peak bytes for a map request, from the parsed node count
 /// of its source through the [`estimate_peak_bytes`] model (decompose
-/// expands ~4× on generated DAGs, each subject node costs ~512 B
-/// across the flow's live artifacts).
+/// expands up to ~4.2× on generated DAGs, priced at 5×; each subject
+/// node costs ~512 B across the flow's live artifacts).
 fn job_cost(req: &MapRequest) -> u64 {
     let nodes = match &req.source {
         Source::Blif(text) => (text.matches(".names").count() as u64).saturating_add(16),

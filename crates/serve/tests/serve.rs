@@ -725,7 +725,7 @@ fn memory_budget_rejects_oversized_jobs_typed() {
     let (addr, server) = boot(config);
     let mut c = connect(addr);
 
-    // ~20k parsed nodes → ~41 MiB estimated peak: over the 8 MiB budget.
+    // ~20k parsed nodes → ~50 MiB estimated peak: over the 8 MiB budget.
     let mut huge = healthy_map(86);
     huge.source = Source::Circuit("scale:random-dag:20000:7".to_string());
     c.send(&huge.to_json()).unwrap();
@@ -764,7 +764,7 @@ fn memory_pressure_degrades_to_streaming_with_audit() {
     let (addr, server) = boot(config);
     let mut c = connect(addr);
 
-    // misex1 estimates ~5 MiB: under the 8 MiB budget, over half of it.
+    // misex1 estimates ~6 MiB: under the 8 MiB budget, over half of it.
     c.send(&healthy_map(88).to_json()).unwrap();
     let events = c.drive(88).unwrap();
     assert_eq!(events.last().map(|e| e.event.as_str()), Some("done"));
@@ -799,7 +799,7 @@ fn memory_pressure_never_streams_a_comparison() {
     let (addr, server) = boot(config);
     let mut c = connect(addr);
 
-    // Two misex1 tails estimate ~10 MiB: under the budget, over half.
+    // Two misex1 tails estimate ~12 MiB: under the budget, over half.
     let mut req = healthy_map(89);
     req.compare = true;
     c.send(&req.to_json()).unwrap();

@@ -1,13 +1,12 @@
 //! Integration tests of the beyond-the-paper extensions running
-//! through the full flows: fanout buffering, annealing placement, gate
-//! sizing, genlib-loaded libraries, and proximity decomposition.
+//! through the full flows: fanout buffering, annealing placement, the
+//! double-drive library, genlib-loaded libraries, the global router and
+//! the channeled area metric.
 
 use lily::cells::mapped::equiv_mapped_subject;
 use lily::cells::{genlib, Library};
 use lily::core::flow::{DetailedPlacer, FlowOptions, PhysicalOptions};
-use lily::core::sizing::{resize_for_load, SizingOptions};
 use lily::netlist::decompose::{decompose, DecomposeOrder};
-use lily::netlist::transform::{dedup_structural, flatten_associative};
 use lily::workloads::circuits;
 
 #[test]
@@ -40,15 +39,12 @@ fn annealing_placer_flow_runs_and_is_deterministic() {
 }
 
 #[test]
-fn sized_library_flow_with_post_sizing() {
+fn sized_library_delay_flow_is_equivalent() {
     let lib = Library::big_sized();
     let net = circuits::circuit("misex1");
     let g = decompose(&net, DecomposeOrder::Balanced).unwrap();
-    let mut r = FlowOptions::lily_delay().run_subject(&g, &lib).unwrap();
+    let r = FlowOptions::lily_delay().run_subject(&g, &lib).unwrap();
     assert!(equiv_mapped_subject(&g, &r.mapped, &lib, 128, 5));
-    // Post-sizing keeps equivalence regardless of how many swaps fire.
-    let upsized = resize_for_load(&mut r.mapped, &lib, &SizingOptions::default());
-    assert!(equiv_mapped_subject(&g, &r.mapped, &lib, 128, 5), "after {upsized} swaps");
 }
 
 #[test]
@@ -63,21 +59,6 @@ fn genlib_library_drives_the_full_flow() {
     let builtin = FlowOptions::mis_area().run_subject(&g, &Library::big()).unwrap();
     assert_eq!(r.metrics.cells, builtin.metrics.cells);
     assert!((r.metrics.instance_area - builtin.metrics.instance_area).abs() < 1e-6);
-}
-
-#[test]
-fn transforms_before_mapping_keep_equivalence() {
-    let lib = Library::big();
-    let reference = circuits::circuit("b9");
-    let mut cleaned = reference.clone();
-    dedup_structural(&mut cleaned);
-    flatten_associative(&mut cleaned);
-    // The cleaned network must still compute the reference functions.
-    let g = decompose(&cleaned, DecomposeOrder::Balanced).unwrap();
-    assert!(lily::netlist::sim::equiv_network_subject(&reference, &g, 192, 41));
-    // And map fine.
-    let r = FlowOptions::mis_area().run_subject(&g, &lib).unwrap();
-    assert!(equiv_mapped_subject(&g, &r.mapped, &lib, 128, 43));
 }
 
 #[test]

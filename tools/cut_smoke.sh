@@ -11,8 +11,8 @@
 #      fields parallelism may change (wall times, speedups, thread
 #      count) are normalized away — the determinism contract, and
 #   3. the 1-thread map stage on misex1 stays under 2x the lily
-#      mapper's, both timed in this run (median of three interleaved
-#      runs each). On a circuit this small the cut mapper is not faster
+#      mapper's, both timed in this run (median of five interleaved
+#      runs each, every sample printed). On a circuit this small the cut mapper is not faster
 #      than the structural matcher (about 1.6x its map time); it wins
 #      on large DAGs (random-dag-2000: ~0.15 s vs ~0.9 s map). Costing
 #      more than twice Lily means the priority enumeration has
@@ -82,24 +82,28 @@ check_round dag_metrics --gen random-dag --gen-nodes 2000
 check_round adder_metrics --gen tree-adder --gen-nodes 4000
 
 # Map-stage wall-time guard against a lily baseline from this run:
-# three interleaved 1-thread misex1 runs per mapper, median of each.
-# A wall time that cannot be extracted fails the script.
+# five interleaved 1-thread misex1 runs per mapper, median of each.
+# Every sample is printed. A wall time that cannot be extracted fails
+# the script.
 map_ns() {
     tr ',' '\n' < "$1" | grep -A2 '"stage":"map"' | grep -m1 '"wall_ns"' \
         | sed 's/[^0-9]//g'
 }
 : > "$tmp/lily_times"
 : > "$tmp/cut_times"
-for i in 1 2 3; do
+for i in 1 2 3 4 5; do
     for mapper in lily cut; do
         run_flow "$mapper-area" 1 "$tmp/time.json" --circuit misex1
         map_ns "$tmp/time.json" >> "$tmp/${mapper}_times"
     done
 done
-# median <times-file>: the middle of three integers, or empty.
+for mapper in lily cut; do
+    echo "cut_smoke: misex1 $mapper map samples (ns):" $(cat "$tmp/${mapper}_times")
+done
+# median <times-file>: the middle of five integers, or empty.
 median() {
-    if [ "$(grep -c '^[0-9][0-9]*$' "$1")" -eq 3 ]; then
-        sort -n "$1" | sed -n 2p
+    if [ "$(grep -c '^[0-9][0-9]*$' "$1")" -eq 5 ]; then
+        sort -n "$1" | sed -n 3p
     fi
 }
 lily_map="$(median "$tmp/lily_times")"
