@@ -10,7 +10,7 @@
 
 use lily_bench::harness::Harness;
 use lily_netlist::decompose::{decompose, DecomposeOrder};
-use lily_place::global::{try_global_place, GlobalOptions};
+use lily_place::global::try_global_place;
 use lily_place::multilevel::{try_multilevel_place, MultilevelOptions};
 use lily_place::{AreaModel, Rect, SubjectPlacement};
 use lily_workloads::{circuits, scale_circuit, ScaleFamily};
@@ -25,8 +25,7 @@ fn main() {
         let mut problem = sp.problem.clone();
         problem.fixed = lily_place::pads::perimeter_points(core, problem.fixed.len());
         h.bench("global_placement", &format!("inchoate/{name}-{}", g.base_gate_count()), || {
-            try_global_place(&problem, &GlobalOptions::for_region(core))
-                .map_or(0, |gp| gp.positions.len())
+            try_global_place(&problem, core).map_or(0, |gp| gp.positions.len())
         });
     }
 
@@ -41,7 +40,6 @@ fn main() {
             .map_or(0, |mp| mp.positions.len())
     });
     h.bench("subject_placement", &format!("flat/{id}"), || {
-        try_global_place(&problem, &GlobalOptions::for_region(core))
-            .map_or(0, |gp| gp.positions.len())
+        try_global_place(&problem, core).map_or(0, |gp| gp.positions.len())
     });
 }

@@ -24,13 +24,15 @@
 //! | [`check_timing`] | [`lily_timing::StaResult`] | `TM001`–`TM004` |
 //!
 //! The `lily-core` flow runs these between stages when
-//! `FlowOptions::verify` is set (the default in debug builds), and the
-//! `lily-check` CLI binary runs all of them over a BLIF design. The
+//! `FlowOptions::verify` is set (the default in debug builds), and
+//! [`check_flow`] runs all of them, in pipeline order, over one flow's
+//! artifacts (the `lily-check` CLI and the contract tests call it). The
 //! full code catalogue is documented in the repository's DESIGN.md.
 
 pub mod cuts;
 pub mod diag;
 pub mod equiv;
+pub mod flow;
 pub mod mapped;
 pub mod network;
 pub mod placement;
@@ -40,6 +42,7 @@ pub mod timing;
 pub use cuts::check_cuts;
 pub use diag::{Code, Diagnostic, Locus, Report, Severity};
 pub use equiv::{check_mapped_subject, check_network_subject, DEFAULT_SEED, DEFAULT_VECTORS};
+pub use flow::{check_flow, FlowCheckError, FlowReport};
 pub use mapped::{check_mapped, kahn_order};
 pub use network::check_network;
 pub use placement::{check_hierarchy, check_placement};

@@ -10,7 +10,7 @@ use lily_check::{
     check_subject, check_timing, Code, DEFAULT_SEED, DEFAULT_VECTORS,
 };
 use lily_core::flow::{FlowOptions, FlowResult};
-use lily_netlist::decompose::decompose;
+use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_netlist::{SubjectGraph, SubjectNodeId};
 use lily_place::{Point, Rect};
 use lily_timing::{try_analyze, StaOptions, StaResult};
@@ -30,7 +30,7 @@ fn opts() -> FlowOptions {
 fn mapped_flow(name: &str) -> (SubjectGraph, FlowResult, Library) {
     let net = lily_workloads::circuits::circuit(name);
     let lib = Library::big();
-    let g = decompose(&net, opts().decompose_order).expect("decompose");
+    let g = decompose(&net, DecomposeOrder::Balanced).expect("decompose");
     let result = opts().run_subject(&g, &lib).expect("flow");
     (g, result, lib)
 }
@@ -54,7 +54,7 @@ fn clean_flow_reports_zero_diagnostics() {
     for name in ["misex1", "b9", "apex7"] {
         let net = lily_workloads::circuits::circuit(name);
         let lib = Library::big();
-        let g = decompose(&net, opts().decompose_order).expect("decompose");
+        let g = decompose(&net, DecomposeOrder::Balanced).expect("decompose");
         let result = opts().run_subject(&g, &lib).expect("flow");
         let mapped = &result.mapped;
 
@@ -95,7 +95,7 @@ fn clean_flow_with_verify_checkpoints_succeeds() {
 #[test]
 fn injected_cycle_is_sg001() {
     let net = lily_workloads::circuits::misex1();
-    let mut g = decompose(&net, opts().decompose_order).expect("decompose");
+    let mut g = decompose(&net, DecomposeOrder::Balanced).expect("decompose");
     // nand2 does not bounds-check operands: forge a forward reference,
     // which is how a cycle manifests in a creation-ordered arena.
     let a = g.inputs()[0];
@@ -110,7 +110,7 @@ fn injected_cycle_is_sg001() {
 #[test]
 fn injected_self_loop_is_sg001() {
     let net = lily_workloads::circuits::b9();
-    let mut g = decompose(&net, opts().decompose_order).expect("decompose");
+    let mut g = decompose(&net, DecomposeOrder::Balanced).expect("decompose");
     let this = SubjectNodeId::from_index(g.node_count());
     let looped = g.nand2(g.inputs()[0], this);
     g.set_output("looped", looped);
@@ -190,7 +190,7 @@ fn injected_nonequivalent_cover_is_eq002() {
 #[test]
 fn injected_decompose_mismatch_is_eq001() {
     let net = lily_workloads::circuits::misex1();
-    let g = decompose(&net, opts().decompose_order).expect("decompose");
+    let g = decompose(&net, DecomposeOrder::Balanced).expect("decompose");
     // Check the subject graph of one circuit against a different network.
     let other = lily_workloads::circuits::b9();
     let r = check_network_subject(&other, &g, VECTORS, DEFAULT_SEED);

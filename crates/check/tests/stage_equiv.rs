@@ -133,14 +133,14 @@ fn cut_flow_is_check_clean_and_equivalent_on_the_golden_set() {
     // map — on every golden circuit, with clean cut sets.
     use lily_check::{check_cuts, check_mapped, check_mapped_subject};
     use lily_netlist::cuts::enumerate_cuts;
-    use lily_netlist::decompose::decompose;
+    use lily_netlist::decompose::{decompose, DecomposeOrder};
     use lily_netlist::CutConfig;
 
     for name in ["misex1", "b9", "9symml", "apex7", "C432"] {
         let net = circuits::circuit(name);
         let lib = Library::big();
         let opts = FlowOptions::cut_area();
-        let g = decompose(&net, opts.decompose_order).expect("decompose");
+        let g = decompose(&net, DecomposeOrder::Balanced).expect("decompose");
 
         let config = CutConfig::default();
         let (sets, stats) = enumerate_cuts(&g, &config);
@@ -162,30 +162,35 @@ fn compare_flows_matches_standalone_runs_bit_for_bit() {
     // Sharing the decomposition, pad plan, and subject placement image
     // between the two pipelines must not perturb either result: the
     // comparison entry point has to report exactly what two independent
-    // runs would.
+    // runs would, at any thread count (above one it runs the two tails
+    // concurrently).
     let net = circuits::circuit("misex1");
     let lib = Library::big();
-    let cmp = compare_flows(&net, &lib, &FlowOptions::lily_area()).expect("compare");
-    let mis = run_flow(&net, &lib, &FlowOptions::mis_area()).expect("mis");
-    let lily = run_flow(&net, &lib, &FlowOptions::lily_area()).expect("lily");
-    for (got, want, which) in [(&cmp.mis, &mis, "mis"), (&cmp.lily, &lily, "lily")] {
-        assert_eq!(got.metrics.cells, want.metrics.cells, "{which}: cells");
-        assert_eq!(
-            got.metrics.wire_length.to_bits(),
-            want.metrics.wire_length.to_bits(),
-            "{which}: wire_length"
-        );
-        assert_eq!(
-            got.metrics.critical_delay.to_bits(),
-            want.metrics.critical_delay.to_bits(),
-            "{which}: critical_delay"
-        );
-        assert_eq!(
-            structural_hash(&got.mapped),
-            structural_hash(&want.mapped),
-            "{which}: mapped netlist structure"
-        );
+    for threads in [1, 2, 8] {
+        lily_par::set_threads(Some(threads));
+        let cmp = compare_flows(&net, &lib, &FlowOptions::lily_area()).expect("compare");
+        let mis = run_flow(&net, &lib, &FlowOptions::mis_area()).expect("mis");
+        let lily = run_flow(&net, &lib, &FlowOptions::lily_area()).expect("lily");
+        for (got, want, which) in [(&cmp.mis, &mis, "mis"), (&cmp.lily, &lily, "lily")] {
+            assert_eq!(got.metrics.cells, want.metrics.cells, "{which}: cells");
+            assert_eq!(
+                got.metrics.wire_length.to_bits(),
+                want.metrics.wire_length.to_bits(),
+                "{which}: wire_length"
+            );
+            assert_eq!(
+                got.metrics.critical_delay.to_bits(),
+                want.metrics.critical_delay.to_bits(),
+                "{which}: critical_delay"
+            );
+            assert_eq!(
+                structural_hash(&got.mapped),
+                structural_hash(&want.mapped),
+                "{which}: mapped netlist structure"
+            );
+        }
     }
+    lily_par::set_threads(None);
 }
 
 #[test]

@@ -22,8 +22,8 @@
 //! before the next level starts. Every worker computes a pure function
 //! of already-frozen data, so cut sets — and therefore matches, DP
 //! choices, and the mapped netlist — are byte-identical at any thread
-//! count (`cut_index_is_identical_at_any_thread_count` below, and
-//! `tools/cut_smoke.sh` end-to-end).
+//! count (`cut_index_is_identical_at_any_thread_count` below, and the
+//! contract matrix in `tests/contracts.rs` end-to-end).
 //!
 //! Matching then converts each non-trivial cut into ordinary matches,
 //! stored in the same [`MatchIndex`] arena as the structural matcher's:

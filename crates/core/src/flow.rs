@@ -38,7 +38,6 @@ use crate::stage::{
 };
 use lily_cells::{Library, MappedNetwork, SignalSource};
 use lily_fault::{FaultPlan, FaultReport};
-use lily_netlist::decompose::DecomposeOrder;
 use lily_netlist::subject::SubjectKind;
 use lily_netlist::{Network, SubjectGraph};
 
@@ -128,8 +127,6 @@ pub struct FlowOptions {
     pub partition: Partition,
     /// Lily's layout knobs (ignored by the MIS mapper).
     pub layout: LayoutOptions,
-    /// Technology decomposition order.
-    pub decompose_order: DecomposeOrder,
     /// Physical-design knobs shared by both pipelines.
     pub physical: PhysicalOptions,
     /// Detailed-placement refinement algorithm.
@@ -184,7 +181,6 @@ impl FlowOptions {
             mode,
             partition: Partition::Cones,
             layout: LayoutOptions::default(),
-            decompose_order: DecomposeOrder::Balanced,
             physical: PhysicalOptions::default(),
             fanout_limit: None,
             detailed_placer: DetailedPlacer::Greedy,
@@ -620,24 +616,13 @@ impl FlowMetrics {
     /// degradation audit — as a JSON object (via the workspace's
     /// dependency-free [`crate::json`] writer).
     pub fn to_json(&self) -> String {
-        self.to_json_with_baseline(None)
-    }
-
-    /// [`to_json`](Self::to_json), with an optional sequential baseline
-    /// stage table: when given, every stage present in both tables
-    /// gains a `"speedup"` field (baseline wall time over this run's)
-    /// so a parallel run's JSON carries its measured per-stage speedup.
-    pub fn to_json_with_baseline(&self, baseline: Option<&StageMetrics>) -> String {
         let stages = array(self.stages.records().iter().map(|r| {
-            let mut o = JsonObject::new()
+            JsonObject::new()
                 .string("stage", r.stage)
                 .uint("wall_ns", r.wall_ns)
                 .uint("size", r.size as u64)
-                .string("unit", r.unit);
-            if let Some(b) = baseline.and_then(|m| m.get(r.stage)) {
-                o = o.float("speedup", b.wall_ns as f64 / r.wall_ns as f64);
-            }
-            o.finish()
+                .string("unit", r.unit)
+                .finish()
         }));
         let degradations = array(self.degradations.iter().map(|d| {
             JsonObject::new()
@@ -723,7 +708,7 @@ pub struct FlowComparison {
 mod tests {
     use super::*;
     use lily_cells::mapped::equiv_mapped_subject;
-    use lily_netlist::decompose::decompose;
+    use lily_netlist::decompose::{decompose, DecomposeOrder};
     use lily_workloads::structured::flow_fixture;
 
     #[test]
@@ -834,9 +819,6 @@ mod tests {
         assert!(json.contains("\"cells\":"));
         assert!(json.contains("\"threads_used\":"));
         assert!(!json.contains("\"wall_ns\":0,"));
-        // A sequential baseline annotates every stage with a speedup.
-        let annotated = m.to_json_with_baseline(Some(&m.stages));
-        assert_eq!(annotated.matches("\"speedup\":").count(), m.stages.len());
     }
 
     #[test]

@@ -18,11 +18,11 @@ use crate::stage::codec::{
 };
 use crate::stage::{ArtifactCodec, FlowContext, MapImage, Mapper, Stage, StageArtifact};
 use lily_cells::{CellId, Library, MappedNetwork, SignalSource};
-use lily_netlist::decompose::decompose;
+use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_netlist::{Network, SubjectGraph};
 use lily_par::ParOptions;
 use lily_place::anneal::{try_anneal, AnnealOptions};
-use lily_place::global::{try_global_place, GlobalOptions};
+use lily_place::global::try_global_place;
 use lily_place::legalize::{improve, legalize, LegalizeOptions, Legalized};
 use lily_place::multilevel::{MultilevelOptions, MultilevelSystem};
 use lily_place::{assign_pads, AreaModel, PinRef, PlacementProblem, Point, Rect, SubjectPlacement};
@@ -62,7 +62,7 @@ impl<'a> Stage<&'a Network> for Decompose {
     }
 
     fn run(&self, ctx: &mut FlowContext<'_>, net: &'a Network) -> Result<Self::Out, MapError> {
-        let g = decompose(net, ctx.options.decompose_order)?;
+        let g = decompose(net, DecomposeOrder::Balanced)?;
         ctx.checkpoint("network", || lily_check::check_network(net))?;
         ctx.checkpoint("subject", || lily_check::check_subject(&g))?;
         ctx.checkpoint("decompose-equiv", || {
@@ -1227,7 +1227,7 @@ fn place_globally(
         };
         system.solve(&problem.fixed).map(|mp| mp.positions)
     } else {
-        try_global_place(problem, &GlobalOptions::for_region(region)).map(|gp| gp.positions)
+        try_global_place(problem, region).map(|gp| gp.positions)
     }
 }
 

@@ -13,8 +13,8 @@ use lily_workloads::structured::flow_fixture as sample_network;
 
 /// The result must still be a well-formed, functionally correct mapped
 /// netlist despite the degradation.
-fn assert_still_valid(net: &Network, lib: &Library, opts: &FlowOptions, r: &FlowResult) {
-    let g = decompose(net, opts.decompose_order).unwrap();
+fn assert_still_valid(net: &Network, lib: &Library, r: &FlowResult) {
+    let g = decompose(net, DecomposeOrder::Balanced).unwrap();
     assert!(!lily_check::check_mapped(&r.mapped, lib).has_errors());
     assert!(!lily_check::check_mapped_subject(
         &g,
@@ -46,7 +46,7 @@ fn degenerate_layout_image_falls_back_to_mis_mapper() {
     assert_eq!(d[0].stage, "lily-global-place");
     assert_eq!(d[0].fallback, "mis-mapper");
     assert!(d[0].detail.contains("non-finite"), "detail: {}", d[0].detail);
-    assert_still_valid(&net, &lib, &opts, &r);
+    assert_still_valid(&net, &lib, &r);
 }
 
 #[test]
@@ -64,7 +64,7 @@ fn exhausted_anneal_budget_falls_back_to_greedy() {
     assert_eq!(d[0].stage, "anneal");
     assert_eq!(d[0].fallback, "greedy");
     assert!(d[0].detail.contains("budget exhausted"), "detail: {}", d[0].detail);
-    assert_still_valid(&net, &lib, &opts, &r);
+    assert_still_valid(&net, &lib, &r);
     // The greedy fallback must match the plain greedy placer's result.
     let greedy = FlowOptions { detailed_placer: DetailedPlacer::Greedy, ..opts }
         .run_detailed(&net, &lib)
@@ -86,7 +86,7 @@ fn partial_anneal_budget_still_degrades_but_keeps_going() {
     assert_eq!(d.len(), 1, "expected exactly one degradation, got {d:?}");
     assert_eq!((d[0].stage, d[0].fallback), ("anneal", "greedy"));
     assert!(d[0].detail.contains("25 moves"), "detail: {}", d[0].detail);
-    assert_still_valid(&net, &lib, &opts, &r);
+    assert_still_valid(&net, &lib, &r);
 }
 
 #[test]
@@ -106,7 +106,7 @@ fn per_node_anneal_budget_scales_with_cells_and_names_itself() {
     assert_eq!(d.len(), 1, "expected exactly one degradation, got {d:?}");
     assert_eq!((d[0].stage, d[0].fallback), ("anneal", "greedy"));
     assert!(d[0].detail.contains("per-node move budget exhausted"), "detail: {}", d[0].detail);
-    assert_still_valid(&net, &lib, &opts, &r);
+    assert_still_valid(&net, &lib, &r);
     // The greedy fallback must match the plain greedy placer's result.
     let greedy = FlowOptions { detailed_placer: DetailedPlacer::Greedy, ..opts }
         .run_detailed(&net, &lib)
@@ -132,7 +132,7 @@ fn tighter_absolute_budget_still_binds_with_both_knobs_set() {
     assert_eq!((d[0].stage, d[0].fallback), ("anneal", "greedy"));
     assert!(d[0].detail.contains("25 moves"), "detail: {}", d[0].detail);
     assert!(!d[0].detail.contains("per-node"), "detail: {}", d[0].detail);
-    assert_still_valid(&net, &lib, &opts, &r);
+    assert_still_valid(&net, &lib, &r);
 }
 
 #[test]
@@ -150,7 +150,7 @@ fn oversized_detailed_place_ships_legalized_rows() {
     assert_eq!(d.len(), 1, "expected exactly one degradation, got {d:?}");
     assert_eq!((d[0].stage, d[0].fallback), ("detailed-place", "legalized-only"));
     assert!(d[0].detail.contains("improvement ceiling"), "detail: {}", d[0].detail);
-    assert_still_valid(&net, &lib, &opts, &r);
+    assert_still_valid(&net, &lib, &r);
 }
 
 #[test]
@@ -174,7 +174,7 @@ fn oversized_cone_partition_demotes_to_trees() {
     let e = explicit.run_detailed(&net, &lib).unwrap();
     assert_eq!(r.metrics.cells, e.metrics.cells);
     assert_eq!(r.metrics.wire_length.to_bits(), e.metrics.wire_length.to_bits());
-    assert_still_valid(&net, &lib, &opts, &r);
+    assert_still_valid(&net, &lib, &r);
 }
 
 #[test]
@@ -199,7 +199,7 @@ fn overflowing_wire_load_falls_back_to_per_fanout() {
     // (`check_mapped`'s load identity is rightly unhappy with this
     // library — its placement-aware loads are infinite by construction —
     // so only the simulation-based equivalence check applies here.)
-    let g = decompose(&net, opts.decompose_order).unwrap();
+    let g = decompose(&net, DecomposeOrder::Balanced).unwrap();
     assert!(lily_cells::mapped::equiv_mapped_subject(&g, &r.mapped, &lib, 128, 21));
     assert!(r.metrics.critical_delay.is_finite() && r.metrics.critical_delay > 0.0);
 }

@@ -1,6 +1,9 @@
 //! The incremental covering DP's counters: overlapping cones reuse
 //! stored solutions, the tree partition (one visit per node) never
-//! does, and the counts are a deterministic function of the input.
+//! does, and the counts — like the placed covers — are a deterministic
+//! function of the input at 1, 2 and 8 threads.
+
+use std::sync::{Mutex, PoisonError};
 
 use lily_cells::{Library, SignalSource};
 use lily_core::flow::FlowOptions;
@@ -11,6 +14,10 @@ use lily_netlist::{Network, SubjectGraph, SubjectKind};
 use lily_place::Point;
 use lily_route::WireModel;
 use lily_workloads::{circuits, scale_circuit, ScaleFamily};
+
+/// `lily_par::set_threads` is process-wide, so the two tests that
+/// sweep the thread count take turns on this lock.
+static THREAD_SWEEP: Mutex<()> = Mutex::new(());
 
 fn flows() -> [(&'static str, FlowOptions, Library); 4] {
     [
@@ -41,7 +48,7 @@ fn tree_partition_solves_every_node_exactly_once() {
     let net = circuits::circuit("C432");
     for (flow, opts, lib) in flows() {
         let opts = FlowOptions { partition: Partition::Trees, ..opts };
-        let g = decompose(&net, opts.decompose_order).expect("decompose");
+        let g = decompose(&net, DecomposeOrder::Balanced).expect("decompose");
         let internal = g.node_ids().filter(|&v| !matches!(g.kind(v), SubjectKind::Input(_)));
         let s = stats(&net, &opts, &lib);
         assert_eq!(s.dp_reused, 0, "{flow}: trees never revisit a node");
@@ -51,6 +58,7 @@ fn tree_partition_solves_every_node_exactly_once() {
 
 #[test]
 fn dp_counters_are_identical_at_any_thread_count() {
+    let _sweep = THREAD_SWEEP.lock().unwrap_or_else(PoisonError::into_inner);
     let net = scale_circuit(ScaleFamily::RandomDag, 300, 3);
     for (flow, opts, lib) in flows() {
         lily_par::set_threads(Some(1));
@@ -120,55 +128,64 @@ fn placed_covers_match_the_full_resolve_recordings() {
     };
     let lily = |lib, mode, lay| LilyMapper::new(lib).mode(mode).layout(lay).map(&g, &place, &pads);
     let steiner = WireModel::HalfPerimeterSteiner;
-    let cases: [(&str, Result<MapResult, _>, u64); 8] = [
-        (
-            "lily area",
-            lily(&big, MapMode::Area, layout(PositionUpdate::CmFans, steiner, true)),
-            0x5895225b652a394d,
-        ),
-        (
-            "lily area, merged",
-            lily(&big, MapMode::Area, layout(PositionUpdate::CmMerged, steiner, true)),
-            0xb58997365af72008,
-        ),
-        (
-            "lily area, median, spanning tree",
-            lily(
-                &big,
-                MapMode::Area,
-                layout(PositionUpdate::MedianFans, WireModel::SpanningTree, true),
+    let _sweep = THREAD_SWEEP.lock().unwrap_or_else(PoisonError::into_inner);
+    for threads in [1, 2, 8] {
+        lily_par::set_threads(Some(threads));
+        let cases: [(&str, Result<MapResult, _>, u64); 8] = [
+            (
+                "lily area",
+                lily(&big, MapMode::Area, layout(PositionUpdate::CmFans, steiner, true)),
+                0x5895225b652a394d,
             ),
-            0xdb2625d43c360c85,
-        ),
-        (
-            "lily delay",
-            lily(&big_1u, MapMode::Delay, layout(PositionUpdate::CmFans, steiner, true)),
-            0x02bab91b7090a79f,
-        ),
-        (
-            "lily delay, output order",
-            lily(&big_1u, MapMode::Delay, layout(PositionUpdate::CmFans, steiner, false)),
-            0x5703381b97df4b04,
-        ),
-        (
-            "lily delay, median, spanning tree",
-            lily(
-                &big_1u,
-                MapMode::Delay,
-                layout(PositionUpdate::MedianFans, WireModel::SpanningTree, true),
+            (
+                "lily area, merged",
+                lily(&big, MapMode::Area, layout(PositionUpdate::CmMerged, steiner, true)),
+                0xb58997365af72008,
             ),
-            0x245e21f4413aff29,
-        ),
-        ("cut area", CutMapper::new(&big).map(&g, &place, &pads), 0x4d6538b777ac02ca),
-        (
-            "cut delay",
-            CutMapper::new(&big_1u).mode(MapMode::Delay).map(&g, &place, &pads),
-            0x53fec9dd003660a3,
-        ),
-    ];
-    for (what, r, want) in cases {
-        let r = r.expect("map");
-        assert!(r.stats.dp_reused > 0, "{what}: no reuse exercised");
-        assert_eq!(cover_hash(&r), want, "{what}: cover differs from the full re-solve");
+            (
+                "lily area, median, spanning tree",
+                lily(
+                    &big,
+                    MapMode::Area,
+                    layout(PositionUpdate::MedianFans, WireModel::SpanningTree, true),
+                ),
+                0xdb2625d43c360c85,
+            ),
+            (
+                "lily delay",
+                lily(&big_1u, MapMode::Delay, layout(PositionUpdate::CmFans, steiner, true)),
+                0x02bab91b7090a79f,
+            ),
+            (
+                "lily delay, output order",
+                lily(&big_1u, MapMode::Delay, layout(PositionUpdate::CmFans, steiner, false)),
+                0x5703381b97df4b04,
+            ),
+            (
+                "lily delay, median, spanning tree",
+                lily(
+                    &big_1u,
+                    MapMode::Delay,
+                    layout(PositionUpdate::MedianFans, WireModel::SpanningTree, true),
+                ),
+                0x245e21f4413aff29,
+            ),
+            ("cut area", CutMapper::new(&big).map(&g, &place, &pads), 0x4d6538b777ac02ca),
+            (
+                "cut delay",
+                CutMapper::new(&big_1u).mode(MapMode::Delay).map(&g, &place, &pads),
+                0x53fec9dd003660a3,
+            ),
+        ];
+        for (what, r, want) in cases {
+            let r = r.expect("map");
+            assert!(r.stats.dp_reused > 0, "{what}: no reuse exercised");
+            assert_eq!(
+                cover_hash(&r),
+                want,
+                "{what} at {threads} threads: cover differs from the full re-solve"
+            );
+        }
     }
+    lily_par::set_threads(None);
 }

@@ -14,27 +14,16 @@ use crate::geom::{Point, Rect};
 use crate::quadratic::{try_solve_quadratic_under, Anchor, PlacementProblem};
 use lily_fault::CancelToken;
 
-/// Options for [`try_global_place`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GlobalOptions {
-    /// The layout image (core region) to place into.
-    pub region: Rect,
-    /// Stop partitioning when a region holds at most this many modules
-    /// (the paper's "user-specified parameter"; 1 plus row assignment
-    /// would amount to a detailed placement).
-    pub min_region: usize,
-    /// Anchor spring weight at level 0; doubles each level.
-    pub anchor_weight: f64,
-    /// Hard cap on partitioning levels.
-    pub max_levels: usize,
-}
+/// Stop partitioning when a region holds at most this many modules
+/// (the paper's "user-specified parameter"; 1 plus row assignment
+/// would amount to a detailed placement).
+const MIN_REGION: usize = 4;
 
-impl GlobalOptions {
-    /// Reasonable defaults for a given core region.
-    pub fn for_region(region: Rect) -> Self {
-        Self { region, min_region: 4, anchor_weight: 0.02, max_levels: 12 }
-    }
-}
+/// Anchor spring weight at level 0; doubles each level.
+const ANCHOR_WEIGHT: f64 = 0.02;
+
+/// Hard cap on partitioning levels.
+const MAX_LEVELS: usize = 12;
 
 /// The result of global placement.
 #[derive(Debug, Clone)]
@@ -50,14 +39,14 @@ pub struct GlobalPlacement {
     pub cg_iterations: usize,
 }
 
-/// Fallible balanced global placement. See the module docs for the
-/// algorithm.
+/// Fallible balanced global placement into the core `region`. See the
+/// module docs for the algorithm.
 ///
-/// The partitioning depth is already capped by
-/// [`GlobalOptions::max_levels`]; each quadratic solve is additionally
-/// guarded by the conjugate-gradient iteration budget and NaN detection
-/// of [`try_solve_quadratic`], and the region the solver must place into
-/// is checked for finite geometry up front. The calling thread's
+/// The partitioning depth is already capped at 12 levels; each
+/// quadratic solve is additionally guarded by the conjugate-gradient
+/// iteration budget and NaN detection of [`try_solve_quadratic`], and
+/// the region the solver must place into is checked for finite
+/// geometry up front. The calling thread's
 /// ambient cancellation token is polled once per CG iteration and once
 /// per partitioning level.
 ///
@@ -70,16 +59,16 @@ pub struct GlobalPlacement {
 /// * [`PlaceError::Cancelled`] — the ambient token tripped.
 pub fn try_global_place(
     problem: &PlacementProblem,
-    opts: &GlobalOptions,
+    region: Rect,
 ) -> Result<GlobalPlacement, PlaceError> {
-    try_global_place_under(problem, opts, &lily_fault::ambient_token())
+    try_global_place_under(problem, region, &lily_fault::ambient_token())
 }
 
 /// [`try_global_place`] polling `cancel`: the body the multilevel
 /// placer calls with the token its public entry point snapshot.
 pub(crate) fn try_global_place_under(
     problem: &PlacementProblem,
-    opts: &GlobalOptions,
+    region: Rect,
     cancel: &CancelToken,
 ) -> Result<GlobalPlacement, PlaceError> {
     let n = problem.movable;
@@ -91,7 +80,7 @@ pub(crate) fn try_global_place_under(
             cg_iterations: 0,
         });
     }
-    let r = opts.region;
+    let r = region;
     if ![r.llx, r.lly, r.urx, r.ury].iter().all(|v| v.is_finite()) {
         return Err(PlaceError::NonFinite { context: "core region" });
     }
@@ -99,13 +88,13 @@ pub(crate) fn try_global_place_under(
     let first = try_solve_quadratic_under(problem, &[], &[], cancel)?;
     cg_iterations += first.iterations;
     let mut positions = first.positions;
-    let mut regions: Vec<(Rect, Vec<usize>)> = vec![(opts.region, (0..n).collect())];
+    let mut regions: Vec<(Rect, Vec<usize>)> = vec![(region, (0..n).collect())];
     let mut level = 0usize;
 
-    while level < opts.max_levels && regions.iter().any(|(_, m)| m.len() > opts.min_region) {
+    while level < MAX_LEVELS && regions.iter().any(|(_, m)| m.len() > MIN_REGION) {
         let mut next: Vec<(Rect, Vec<usize>)> = Vec::with_capacity(regions.len() * 2);
         for (rect, modules) in &regions {
-            if modules.len() <= opts.min_region {
+            if modules.len() <= MIN_REGION {
                 next.push((*rect, modules.clone()));
                 continue;
             }
@@ -126,7 +115,7 @@ pub(crate) fn try_global_place_under(
         regions = next;
         level += 1;
 
-        let w = opts.anchor_weight * (1 << level.min(20)) as f64;
+        let w = ANCHOR_WEIGHT * (1 << level.min(20)) as f64;
         let mut anchors = Vec::with_capacity(n);
         for (rect, modules) in &regions {
             let c = rect.center();
@@ -176,8 +165,8 @@ mod tests {
     use super::*;
     use crate::quadratic::PinRef;
 
-    fn global_place(problem: &PlacementProblem, opts: &GlobalOptions) -> GlobalPlacement {
-        try_global_place(problem, opts).expect("global placement failed")
+    fn global_place(problem: &PlacementProblem, region: Rect) -> GlobalPlacement {
+        try_global_place(problem, region).expect("global placement failed")
     }
 
     /// A 2D grid graph with pads on four corners: a placement whose
@@ -212,7 +201,7 @@ mod tests {
     fn placement_is_balanced_and_inside() {
         let core = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         let p = grid_problem(8, core);
-        let g = global_place(&p, &GlobalOptions::for_region(core));
+        let g = global_place(&p, core);
         assert_eq!(g.positions.len(), 64);
         for pt in &g.positions {
             assert!(core.contains(*pt), "{pt:?} outside core");
@@ -225,10 +214,9 @@ mod tests {
     fn partitioning_bounds_region_occupancy() {
         let core = Rect::new(0.0, 0.0, 100.0, 100.0);
         let p = grid_problem(6, core);
-        let opts = GlobalOptions { min_region: 3, ..GlobalOptions::for_region(core) };
-        let g = global_place(&p, &opts);
+        let g = global_place(&p, core);
         for (_, modules) in &g.regions {
-            assert!(modules.len() <= 3, "region holds {}", modules.len());
+            assert!(modules.len() <= MIN_REGION, "region holds {}", modules.len());
         }
         // Every module assigned exactly once.
         let mut seen = vec![false; p.movable];
@@ -263,7 +251,7 @@ mod tests {
             fixed: vec![Point::new(0.0, 50.0), Point::new(100.0, 50.0)],
             nets,
         };
-        let g = global_place(&p, &GlobalOptions::for_region(core));
+        let g = global_place(&p, core);
         for i in 0..4 {
             assert!(
                 g.positions[i].x < g.positions[4 + i].x,
@@ -276,7 +264,7 @@ mod tests {
     #[test]
     fn empty_problem() {
         let core = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let g = global_place(&PlacementProblem::default(), &GlobalOptions::for_region(core));
+        let g = global_place(&PlacementProblem::default(), core);
         assert!(g.positions.is_empty());
     }
 

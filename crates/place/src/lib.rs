@@ -44,7 +44,7 @@ pub use anneal::{try_anneal, AnnealOptions, AnnealStats};
 pub use area::AreaModel;
 pub use error::PlaceError;
 pub use geom::{Point, Rect};
-pub use global::{try_global_place, GlobalOptions};
+pub use global::try_global_place;
 pub use multilevel::{
     try_multilevel_place, ClusterHierarchy, ClusterLevel, MultilevelOptions, MultilevelPlacement,
     MultilevelSystem,

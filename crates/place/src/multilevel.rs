@@ -34,7 +34,7 @@
 
 use crate::error::PlaceError;
 use crate::geom::{Point, Rect};
-use crate::global::{try_global_place_under, GlobalOptions};
+use crate::global::try_global_place_under;
 use crate::quadratic::{pad_centroid, PinRef, PlacementProblem, REGULARIZATION};
 use crate::sparse::{cg_solve_under, CsrMatrix};
 use lily_fault::CancelToken;
@@ -444,7 +444,7 @@ impl MultilevelSystem {
 
         // Solve the coarsest level with the flat partitioning placer.
         let coarsest = PlacementProblem { fixed: pads.to_vec(), ..self.coarsest.clone() };
-        let g = try_global_place_under(&coarsest, &GlobalOptions::for_region(r), &cancel)?;
+        let g = try_global_place_under(&coarsest, r, &cancel)?;
         let mut cg_iterations = g.cg_iterations;
         let mut positions = g.positions;
         let mut level_positions: Vec<Vec<Point>> = vec![positions.clone()];

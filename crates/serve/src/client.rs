@@ -1,7 +1,7 @@
 //! A minimal blocking client for the mapping service.
 //!
-//! Shared by the load generator, the CI smoke drill, and the
-//! integration tests, so all of them speak the exact dialect the
+//! Shared by the load generator and the integration and contract
+//! tests, so all of them speak the exact dialect the
 //! server implements — there is no second, subtly different codec.
 
 use std::net::{TcpStream, ToSocketAddrs};

@@ -104,11 +104,11 @@ fn temp(tag: &str) -> PathBuf {
     dir
 }
 
-/// Blanks every volatile numeric value (`wall_ns`, `speedup`,
-/// `threads`) in a metrics JSON text so runs can be byte-compared.
+/// Blanks every volatile numeric value (`wall_ns`, `threads_used`) in a
+/// metrics JSON text so runs can be byte-compared.
 fn strip_volatile(text: &str) -> String {
     let mut out = text.to_string();
-    for key in ["\"wall_ns\":", "\"speedup\":", "\"threads\":"] {
+    for key in ["\"wall_ns\":", "\"threads_used\":"] {
         let mut from = 0;
         while let Some(at) = out[from..].find(key) {
             let start = from + at + key.len();

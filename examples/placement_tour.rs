@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example placement_tour`.
 
 use lily::netlist::decompose::{decompose, DecomposeOrder};
-use lily::place::global::{quadrant_balance, try_global_place, GlobalOptions};
+use lily::place::global::{quadrant_balance, try_global_place};
 use lily::place::legalize::{hpwl, improve, legalize, LegalizeOptions};
 use lily::place::{assign_pads, AreaModel, Point, SubjectPlacement};
 use lily::route::{chung_hwang_factor, net_length, rsmt_length, WireModel};
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Balanced global placement (quadratic + bi-partitioning).
     let mut problem = sp.problem.clone();
     problem.fixed = pads.clone();
-    let gp = try_global_place(&problem, &GlobalOptions::for_region(core))?;
+    let gp = try_global_place(&problem, core)?;
     println!(
         "global placement: {} levels of bi-partitioning, quadrant balance {:.2}",
         gp.levels,

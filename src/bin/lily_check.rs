@@ -13,10 +13,10 @@
 //! (`tree-adder`, `multiplier-tree`, or `random-dag`; sized with
 //! `--gen-nodes`, seeded with `--gen-seed`) — is parsed, decomposed,
 //! mapped, placed, and timed with the selected flow, and every stage
-//! artifact is analyzed with the `lily-check` passes. Designs large
-//! enough to take the flow's multilevel placement path additionally get
-//! a `hierarchy` stage that validates the cluster hierarchy and
-//! per-level position snapshots (`PL005`–`PL006`).
+//! artifact is analyzed by [`check_flow`](lily::check::check_flow).
+//! Designs large enough to take the flow's multilevel placement path
+//! additionally get a `hierarchy` stage that validates the cluster
+//! hierarchy and per-level position snapshots (`PL005`–`PL006`).
 //! Diagnostics are printed per stage, followed
 //! by the per-stage wall-time/artifact-size table of the stage-graph
 //! flow engine; `--metrics-json` additionally writes the full
@@ -25,16 +25,14 @@
 //!
 //! `--threads N` pins the deterministic parallel runtime to `N` worker
 //! threads (overriding `LILY_THREADS`); results are byte-identical at
-//! any setting. When the effective count exceeds 1 and `--metrics-json`
-//! is requested, the flow is re-run once sequentially so each stage's
-//! JSON record carries a measured `"speedup"` field.
+//! any setting.
 //!
 //! `--checkpoint-dir` runs the flow through the checkpointed driver:
 //! every completed stage artifact is persisted to the directory, and a
 //! re-run against the same directory resumes from the last completed
 //! stage bit-exactly (modulo wall times). `--kill-after <stage>`
 //! deliberately interrupts the flow right after the named stage has
-//! been checkpointed — the harness behind `tools/chaos_smoke.sh`.
+//! been checkpointed.
 //!
 //! Exit codes: `0` — all passes clean (warnings allowed); `1` — at
 //! least one error-severity diagnostic; `2` — usage, I/O, parse, or
@@ -43,11 +41,7 @@
 
 use lily::cells::Library;
 use lily::check;
-use lily::core::flow::{run_flow, FlowOptions, FlowRun};
-use lily::netlist::decompose::decompose;
-use lily::place::Point;
-use lily::place::Rect;
-use lily::timing::{try_analyze, StaOptions};
+use lily::core::flow::{FlowOptions, FlowRun};
 
 struct Args {
     lib: String,
@@ -152,8 +146,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Prints one stage's report; returns its error count.
-fn stage(name: &str, report: &check::Report) -> usize {
+/// Prints one pass's report.
+fn stage(name: &str, report: &check::Report) {
     if report.is_clean() {
         println!("{name}: ok");
     } else {
@@ -166,7 +160,6 @@ fn stage(name: &str, report: &check::Report) -> usize {
             println!("  {d}");
         }
     }
-    report.error_count()
 }
 
 fn load_network(args: &Args) -> Result<lily::netlist::Network, String> {
@@ -220,34 +213,9 @@ fn run() -> Result<usize, String> {
         net.output_count(),
         net.node_count()
     );
-
-    let mut errors = 0usize;
-    errors += stage("network", &check::check_network(&net));
-
-    let g = decompose(&net, opts.decompose_order).map_err(|e| format!("decompose: {e}"))?;
-    errors += stage("subject", &check::check_subject(&g));
-    errors +=
-        stage("decompose-equiv", &check::check_network_subject(&net, &g, args.vectors, args.seed));
-
-    // Designs above the flow's multilevel threshold take the clustered
-    // placement path; validate the hierarchy the placer would build.
-    let subject_placement = lily::place::SubjectPlacement::new(&g);
-    if subject_placement.problem.movable >= opts.physical.multilevel_threshold {
-        let core = Rect::new(0.0, 0.0, 3000.0, 3000.0);
-        let mut problem = subject_placement.problem.clone();
-        problem.fixed = lily::place::pads::perimeter_points(core, problem.fixed.len());
-        let m = lily::place::try_multilevel_place(
-            &problem,
-            &lily::place::MultilevelOptions::for_region(core),
-        )
-        .map_err(|e| format!("multilevel place: {e}"))?;
-        errors += stage(
-            "hierarchy",
-            &check::check_hierarchy(&m.hierarchy, problem.movable, &m.level_positions, core),
-        );
-    } else {
-        println!("hierarchy: skipped (below the multilevel threshold)");
-    }
+    // The network report comes first, so a design the flow rejects
+    // still gets it; `check_flow` repeats the pass for its error count.
+    stage("network", &check::check_network(&net));
 
     // Run the full stage-graph flow with its internal checkpoints off:
     // the point of the CLI is to print every stage's full report, not
@@ -269,31 +237,28 @@ fn run() -> Result<usize, String> {
     for d in &result.metrics.degradations {
         println!("degraded: {d}");
     }
-    let mapped = &result.mapped;
 
-    errors += stage("mapped", &check::check_mapped(mapped, &lib));
-    errors += stage(
-        "cover-equiv",
-        &check::check_mapped_subject(&g, mapped, &lib, args.vectors, args.seed),
-    );
-
-    // Pads are rescaled onto the final core boundary by the flow, so
-    // their bounding box reconstructs the core region.
-    let pads = mapped
-        .input_positions
-        .iter()
-        .chain(mapped.output_positions.iter())
-        .map(|&(x, y)| Point::new(x, y));
-    match Rect::bounding(pads) {
-        Some(core) => {
-            errors += stage("placement", &check::check_placement(mapped, &lib, core));
+    let report = check::check_flow(
+        &net,
+        &result.artifacts.subject,
+        &result.mapped,
+        &lib,
+        opts.physical.multilevel_threshold,
+        args.vectors,
+        args.seed,
+    )
+    .map_err(|e| e.to_string())?;
+    for (name, pass) in report.passes.iter().filter(|(name, _)| *name != "network") {
+        match pass {
+            Some(r) => stage(name, r),
+            None => println!("{name}: skipped (does not apply)"),
         }
-        None => println!("placement: skipped (no pads)"),
     }
-
-    let sta = try_analyze(mapped, &lib, &StaOptions::default()).map_err(|e| format!("sta: {e}"))?;
-    errors += stage("timing", &check::check_timing(mapped, &sta, 0.0));
-    println!("critical delay {:.3} ns over {} cells", sta.critical_delay, mapped.cell_count());
+    println!(
+        "critical delay {:.3} ns over {} cells",
+        report.critical_delay,
+        result.mapped.cell_count()
+    );
 
     println!("stage metrics (threads {}):", result.metrics.stages.threads_used());
     for r in result.metrics.stages.records() {
@@ -306,21 +271,11 @@ fn run() -> Result<usize, String> {
         );
     }
     if let Some(path) = &args.metrics_json {
-        // With real parallelism in play, measure per-stage speedup
-        // against a one-thread re-run of the same (deterministic) flow.
-        let json = if result.metrics.stages.threads_used() > 1 {
-            lily::par::set_threads(Some(1));
-            let seq = run_flow(&net, &lib, &FlowOptions { verify: false, ..opts })
-                .map_err(|e| format!("flow (sequential baseline): {e}"))?;
-            lily::par::set_threads(args.threads);
-            result.metrics.to_json_with_baseline(Some(&seq.metrics.stages))
-        } else {
-            result.metrics.to_json()
-        };
-        std::fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        std::fs::write(path, result.metrics.to_json())
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         println!("metrics json: {path}");
     }
-    Ok(errors)
+    Ok(report.error_count())
 }
 
 fn main() {

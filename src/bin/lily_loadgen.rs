@@ -10,14 +10,7 @@
 //! ```text
 //! lily-loadgen --addr HOST:PORT [--clients N] [--requests N]
 //!              [--seed HEX] [--deadline-ms MS] [--out PATH] [--shutdown]
-//! lily-loadgen --addr HOST:PORT --one '{"id":1,"method":"ping"}'
 //! ```
-//!
-//! `--one` sends a single raw request frame, streams until the
-//! terminal event for that id, prints the terminal frame to stdout,
-//! and exits 0 (`done`/`pong`/`stats`/`ok`), 3 (`error`), or 4
-//! (`rejected`) — the scriptable client the CI smoke drill uses for
-//! its kill/restart/resume assertions.
 //!
 //! `--recover` runs the durable-recovery drill instead of traffic: it
 //! boots its own `lily-serve` (`--server-bin`) with a journal and
@@ -47,7 +40,6 @@ struct Args {
     deadline_ms: Option<u64>,
     out: String,
     shutdown: bool,
-    one: Option<String>,
     recover: bool,
     server_bin: String,
     state_dir: String,
@@ -62,7 +54,6 @@ struct Args {
 fn usage() -> &'static str {
     "usage: lily-loadgen --addr HOST:PORT [--clients N] [--requests N] \
      [--seed HEX] [--deadline-ms MS] [--out PATH] [--shutdown]\n\
-     lily-loadgen --addr HOST:PORT --one JSON\n\
      lily-loadgen --recover --server-bin PATH --state-dir DIR [--rounds N] \
      [--kill-after-ms MS] [--spec SRC] [--flow NAME] [--big-spec SRC] [--threads N]\n\
      \n\
@@ -73,7 +64,6 @@ fn usage() -> &'static str {
      --deadline-ms MS     attach this request deadline to a slice of jobs\n\
      --out PATH           benchmark artifact (default BENCH_serve.json)\n\
      --shutdown           send a shutdown request when done\n\
-     --one JSON           send one request frame, print its terminal event, exit\n\
      --recover            run the kill -9 / restart / auto-resume drill\n\
      --server-bin PATH    lily-serve binary the drill boots and kills\n\
      --state-dir DIR      root for the drill's journal + checkpoint state\n\
@@ -95,7 +85,6 @@ fn parse_args() -> Result<Args, String> {
         deadline_ms: None,
         out: "BENCH_serve.json".to_string(),
         shutdown: false,
-        one: None,
         recover: false,
         server_bin: String::new(),
         state_dir: String::new(),
@@ -132,7 +121,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = value("--out")?,
             "--shutdown" => args.shutdown = true,
-            "--one" => args.one = Some(value("--one")?),
             "--recover" => args.recover = true,
             "--server-bin" => args.server_bin = value("--server-bin")?,
             "--state-dir" => args.state_dir = value("--state-dir")?,
@@ -497,12 +485,11 @@ fn await_journal_completion(
     }
 }
 
-/// Blanks run-to-run volatile metric values (wall times, derived
-/// speedups, the thread count) so journal metrics can be byte-compared
-/// across runs and thread counts — the shell-side twin of
-/// `tools/serve_smoke.sh`'s `strip()`.
+/// Blanks run-to-run volatile metric values (wall times, the thread
+/// count a run used) so journal metrics can be byte-compared across
+/// runs and thread counts.
 fn strip_volatile(s: &str) -> String {
-    const KEYS: [&str; 3] = ["\"wall_ns\":", "\"speedup\":", "\"threads\":"];
+    const KEYS: [&str; 2] = ["\"wall_ns\":", "\"threads_used\":"];
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -561,12 +548,17 @@ fn recover_round(
     timeout: Duration,
 ) -> Result<(u64, String), String> {
     let mut server = spawn_server(&args.server_bin, state, args.threads)?;
-    let client = submit_drill_job(&server.addr, spec, &args.flow)?;
+    let mut client = submit_drill_job(&server.addr, spec, &args.flow)?;
     std::thread::sleep(kill_after);
     // SIGKILL: no destructors, no flushes — exactly the crash the
     // journal's write-ahead discipline is built for.
     server.kill();
-    drop(client);
+    // The in-flight request sees its connection drop, never a result.
+    while let Ok(e) = client.recv() {
+        if e.event == "done" {
+            return Err("the in-flight request finished despite the SIGKILL".to_string());
+        }
+    }
     let t0 = Instant::now();
     let mut restarted = spawn_server(&args.server_bin, state, args.threads)?;
     let replay = await_journal_completion(state, timeout)?;
@@ -688,61 +680,6 @@ fn run_recover(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One-shot scriptable request: frame `payload`, wait for the
-/// terminal event of its id, echo that frame, map the outcome to an
-/// exit code shell scripts can branch on.
-fn run_one(addr: &str, payload: &str) -> ExitCode {
-    let id = lily_core::json::Json::parse(payload)
-        .ok()
-        .and_then(|j| j.get("id").and_then(lily_core::json::Json::as_u64))
-        .unwrap_or(0);
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("lily-loadgen: connect {addr}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Err(e) = client.send(payload) {
-        eprintln!("lily-loadgen: send: {e}");
-        return ExitCode::from(2);
-    }
-    loop {
-        let text = match client.recv_text() {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("lily-loadgen: recv: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let event = match Event::parse(&text) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("lily-loadgen: bad frame: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if event.id != id {
-            continue;
-        }
-        match event.event.as_str() {
-            "done" | "pong" | "stats" | "ok" => {
-                println!("{text}");
-                return ExitCode::SUCCESS;
-            }
-            "error" => {
-                println!("{text}");
-                return ExitCode::from(3);
-            }
-            "rejected" => {
-                println!("{text}");
-                return ExitCode::from(4);
-            }
-            _ => {}
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -753,9 +690,6 @@ fn main() -> ExitCode {
     };
     if args.recover {
         return run_recover(&args);
-    }
-    if let Some(payload) = &args.one {
-        return run_one(&args.addr, payload);
     }
     let corpus = Arc::new(lily_workloads::fuzz::corpus());
     let next_id = Arc::new(AtomicU64::new(1));
