@@ -31,6 +31,14 @@ pub enum LibraryError {
         /// What is wrong with it.
         message: String,
     },
+    /// A technology parasitic (`cap_h`, `cap_v` or `pin_cap`) is
+    /// negative or non-finite. Loads are sums of these, and the placed
+    /// mapper's delay bound relies on a load never shrinking as terms
+    /// are added.
+    InvalidTechnology {
+        /// What is wrong with it.
+        message: String,
+    },
 }
 
 impl fmt::Display for LibraryError {
@@ -39,6 +47,7 @@ impl fmt::Display for LibraryError {
             Self::DuplicateGate { name } => write!(f, "duplicate gate `{name}`"),
             Self::NoInverter => write!(f, "library must contain an inverter"),
             Self::InvalidGate { gate, message } => write!(f, "invalid gate `{gate}`: {message}"),
+            Self::InvalidTechnology { message } => write!(f, "invalid technology: {message}"),
         }
     }
 }

@@ -4,9 +4,10 @@
 //! `t_y = t_i + I_i + R_i·C_L`, with separate rise and fall values for
 //! the intrinsic delay `I_i` and output resistance `R_i`. Each input pin
 //! also presents a capacitance used to compute the load `C_L` of its
-//! driver.
+//! driver, and each has a fixed [`Unateness`] that decides how the
+//! rise and fall edges cross it.
 
-use crate::pattern::PatternGraph;
+use crate::pattern::{same_as_earlier, PatternGraph};
 use lily_netlist::TruthTable;
 
 /// Index of a gate within a [`crate::Library`].
@@ -73,6 +74,52 @@ impl DelayParams {
     }
 }
 
+/// How a gate output responds to one input pin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Unateness {
+    /// Output never falls when the input rises (AND/OR pins).
+    Positive,
+    /// Output never rises when the input rises (NAND/NOR/INV pins).
+    Negative,
+    /// Both polarities occur (XOR pins).
+    Binate,
+}
+
+/// Determines the unateness of `pin` in `function` by scanning all
+/// cofactor pairs. A [`Gate`] runs this once per pin when it is built;
+/// read [`Gate::unateness`] instead of rescanning.
+///
+/// # Panics
+///
+/// Panics if `pin` is out of range.
+pub fn unateness(function: TruthTable, pin: usize) -> Unateness {
+    assert!(pin < function.inputs(), "pin out of range");
+    let n = function.inputs();
+    let stride = 1u64 << pin;
+    let mut saw_pos = false;
+    let mut saw_neg = false;
+    for row in 0..(1u64 << n) {
+        if row & stride != 0 {
+            continue;
+        }
+        let lo = (function.bits() >> row) & 1;
+        let hi = (function.bits() >> (row | stride)) & 1;
+        if lo == 0 && hi == 1 {
+            saw_pos = true;
+        }
+        if lo == 1 && hi == 0 {
+            saw_neg = true;
+        }
+    }
+    match (saw_pos, saw_neg) {
+        (true, true) => Unateness::Binate,
+        (false, true) => Unateness::Negative,
+        // A pin with no observable effect is treated as positive; it
+        // never determines the arrival anyway.
+        _ => Unateness::Positive,
+    }
+}
+
 /// One input pin of a gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pin {
@@ -92,7 +139,12 @@ pub struct Gate {
     area: f64,
     grids: usize,
     pins: Vec<Pin>,
+    /// Each pin's unateness in `function`, computed once.
+    unate: Vec<Unateness>,
     patterns: Vec<PatternGraph>,
+    /// Whether an earlier pattern is the same tree up to operand order,
+    /// per pattern.
+    same_as_earlier: Vec<bool>,
 }
 
 impl Gate {
@@ -127,7 +179,9 @@ impl Gate {
             });
             assert_eq!(f, function, "gate `{name}`: patterns disagree on the function");
         }
-        Self { name, function, area, grids, pins, patterns }
+        let unate = (0..pins.len()).map(|pin| unateness(function, pin)).collect();
+        let same_as_earlier = same_as_earlier(&patterns);
+        Self { name, function, area, grids, pins, unate, patterns, same_as_earlier }
     }
 
     /// The gate name (`nand3`, `aoi22`, …).
@@ -155,6 +209,16 @@ impl Gate {
         &self.pins
     }
 
+    /// How the output responds to `pin`: [`unateness`] of the gate
+    /// function, computed when the gate was built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pin` is out of range.
+    pub fn unateness(&self, pin: usize) -> Unateness {
+        self.unate[pin]
+    }
+
     /// Number of input pins.
     pub fn fanin(&self) -> usize {
         self.pins.len()
@@ -163,6 +227,19 @@ impl Gate {
     /// All pattern graphs.
     pub fn patterns(&self) -> &[PatternGraph] {
         &self.patterns
+    }
+
+    /// Whether an earlier pattern of this gate is the same tree as
+    /// pattern `pattern` up to the order of NAND2 operands
+    /// ([`same_as_earlier`], run when the gate was built). Only then can
+    /// a match of it that binds no node twice repeat an earlier
+    /// pattern's match.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pattern` is out of range.
+    pub fn pattern_same_as_earlier(&self, pattern: usize) -> bool {
+        self.same_as_earlier[pattern]
     }
 
     /// Worst-case intrinsic delay over all pins, ns.

@@ -34,7 +34,7 @@ pub mod technology;
 pub mod verilog;
 
 pub use error::{LibraryError, MappedError};
-pub use gate::{DelayParams, Gate, GateId, Pin};
+pub use gate::{DelayParams, Gate, GateId, Pin, Unateness};
 pub use kinds::GateKind;
 pub use library::Library;
 pub use mapped::{CellId, MappedCell, MappedNetwork, NetPins, SignalSource};

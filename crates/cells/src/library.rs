@@ -80,11 +80,14 @@ impl Library {
     /// * [`LibraryError::NoInverter`] — no 1-input `!a` gate present.
     /// * [`LibraryError::InvalidGate`] — a gate has a zero, negative or
     ///   non-finite area, pin capacitance, or delay coefficient.
+    /// * [`LibraryError::InvalidTechnology`] — a negative or non-finite
+    ///   `cap_h`, `cap_v` or `pin_cap`.
     pub fn try_from_gates(
         name: impl Into<String>,
         gates: Vec<Gate>,
         technology: Technology,
     ) -> Result<Self, LibraryError> {
+        validate_technology(&technology)?;
         let mut by_name = BTreeMap::new();
         let mut inverter = None;
         for (i, gate) in gates.iter().enumerate() {
@@ -204,16 +207,20 @@ impl Library {
 
     /// A copy with every delay parameter and capacitance scaled by
     /// `factor` (area untouched).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Library::try_from_gates`] rejects the scaled
+    /// parameters: a `factor` that is not finite and positive.
     #[must_use]
     pub fn delay_scaled(&self, factor: f64) -> Self {
-        let mut out = self.clone();
-        out.technology = Technology {
+        let technology = Technology {
             cap_h: self.technology.cap_h * factor,
             cap_v: self.technology.cap_v * factor,
             pin_cap: self.technology.pin_cap * factor,
             ..self.technology
         };
-        out.gates = self
+        let gates = self
             .gates
             .iter()
             .map(|g| {
@@ -229,7 +236,8 @@ impl Library {
                 Gate::new(g.name(), g.area(), g.grids(), pins, g.patterns().to_vec())
             })
             .collect();
-        out.name = format!("{}-scaled", self.name);
+        let mut out = Self::from_gates(format!("{}-scaled", self.name), gates, technology);
+        out.inverter = self.inverter;
         out
     }
 
@@ -295,6 +303,19 @@ impl Library {
     pub fn npn(&self) -> &NpnIndex {
         self.npn.get_or_init(|| Arc::new(NpnIndex::build(self)))
     }
+}
+
+/// Checks the parasitics every load is summed from: a negative or
+/// non-finite one would let a load shrink as wire or sinks are added.
+fn validate_technology(t: &Technology) -> Result<(), LibraryError> {
+    for (what, v) in [("cap_h", t.cap_h), ("cap_v", t.cap_v), ("pin_cap", t.pin_cap)] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(LibraryError::InvalidTechnology {
+                message: format!("{what} must be finite and non-negative, got {v}"),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Checks one gate's numeric parameters: a zero/negative/non-finite
@@ -434,6 +455,29 @@ mod tests {
         gates[0] = Gate::new(g.name(), g.area(), g.grids(), pins, g.patterns().to_vec());
         let err = Library::try_from_gates("bad", gates, tech).unwrap_err();
         assert!(matches!(err, LibraryError::InvalidGate { .. }), "{err}");
+    }
+
+    #[test]
+    fn negative_or_non_finite_parasitics_are_rejected() {
+        let gates = Library::tiny().gates().to_vec();
+        let zero = Technology { cap_h: 0.0, cap_v: 0.0, pin_cap: 0.0, ..Technology::mcnc_3u() };
+        assert!(Library::try_from_gates("zero", gates.clone(), zero).is_ok(), "zero is allowed");
+        for what in ["cap_h", "cap_v", "pin_cap"] {
+            for v in [-1e-6, f64::NAN, f64::INFINITY] {
+                let mut tech = Technology::mcnc_3u();
+                match what {
+                    "cap_h" => tech.cap_h = v,
+                    "cap_v" => tech.cap_v = v,
+                    _ => tech.pin_cap = v,
+                }
+                let err = Library::try_from_gates("bad", gates.clone(), tech).unwrap_err();
+                assert!(
+                    matches!(&err, LibraryError::InvalidTechnology { message }
+                        if message.starts_with(what)),
+                    "{what} = {v}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -361,6 +361,49 @@ pub fn oai_patterns(groups: &[usize]) -> Vec<PatternGraph> {
     vec![PatternGraph::new(PatternNode::inv(and), pins)]
 }
 
+/// For each of `patterns`, the patterns of one gate, whether an earlier
+/// one is the same tree up to the order of NAND2 operands.
+///
+/// This is what decides whether the structural matcher must check a
+/// match against the matches of the gate's earlier patterns. It records
+/// a match as its pin bindings plus the subject nodes its internal
+/// nodes cover, in preorder, left operand first.
+///
+/// * A pattern never repeats its own matches. Two walks of it that first
+///   differ at a NAND2, in which of two distinct children its left
+///   operand took, record different nodes there: a covered node or a
+///   pin binding.
+/// * Call a match *degenerate* when it binds a node twice: it covers
+///   one of its inputs, covers a node twice, or puts two pins on one
+///   node. A match that is not degenerate fixes the tree that made it,
+///   up to operand order. From the root down, each operand's subject
+///   node is either covered (an internal node, found by its place in the
+///   covered list) or an input (a leaf, whose pin is the one bound to
+///   it), never both.
+///
+/// So a match of a pattern that no earlier pattern equals up to operand
+/// order repeats an earlier match only if it is degenerate. Different
+/// shapes do repeat on such graphs: nand4's balanced and chain shapes
+/// record one match when the chain's first pin is also the balanced
+/// shape's right operand.
+pub fn same_as_earlier(patterns: &[PatternGraph]) -> Vec<bool> {
+    let canon: Vec<String> = patterns.iter().map(|p| unordered(p.root())).collect();
+    (0..canon.len()).map(|k| canon[..k].contains(&canon[k])).collect()
+}
+
+/// A pattern tree's form with every NAND2's operands in sorted order.
+fn unordered(n: &PatternNode) -> String {
+    match n {
+        PatternNode::Leaf(p) => format!("p{p}"),
+        PatternNode::Inv(a) => format!("!({})", unordered(a)),
+        PatternNode::Nand2(a, b) => {
+            let (x, y) = (unordered(a), unordered(b));
+            let (x, y) = if x <= y { (x, y) } else { (y, x) };
+            format!("nand({x},{y})")
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +419,30 @@ mod tests {
                 }
                 assert_eq!(p.eval(&vals), f(&vals), "pattern {} row {row}", p.root());
             }
+        }
+    }
+
+    #[test]
+    fn only_a_repeated_or_commuted_pattern_is_the_same_as_an_earlier_one() {
+        use crate::kinds::GateKind;
+        use PatternNode::Leaf;
+        let p = |root: PatternNode| PatternGraph::new(root, 3);
+        let ab = PatternNode::and2(Leaf(0), Leaf(1));
+        let left = p(PatternNode::nand2(ab.clone(), Leaf(2)));
+        let commuted = p(PatternNode::nand2(Leaf(2), ab.clone()));
+        let inverted = p(PatternNode::nand2(ab, PatternNode::inv(Leaf(2))));
+        let cases = [
+            (vec![left.clone(), left.clone()], [false, true]),
+            (vec![left.clone(), commuted], [false, true]),
+            (vec![left, inverted], [false, false]),
+        ];
+        for (patterns, want) in cases {
+            assert_eq!(same_as_earlier(&patterns), want, "{}", patterns[1].root());
+        }
+        for kind in [GateKind::Nand(6), GateKind::Nor(6), GateKind::And(4), GateKind::Xor2] {
+            let patterns = kind.patterns();
+            assert!(patterns.len() > 1, "{}", kind.name());
+            assert!(same_as_earlier(&patterns).iter().all(|&r| !r), "{}", kind.name());
         }
     }
 

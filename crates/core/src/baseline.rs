@@ -11,7 +11,7 @@ use crate::error::MapError;
 use crate::matching::MatchSlot;
 use lily_cells::Library;
 use lily_netlist::{SubjectGraph, SubjectKind, SubjectNodeId};
-use lily_timing::{propagate, unateness, Arrival};
+use lily_timing::{propagate, Arrival};
 
 /// Options for the baseline mapper.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,7 +140,7 @@ impl<'l> MisMapper<'l> {
                             let mut out = Arrival::NEG_INF;
                             for (pi, (&vi, pin)) in m.inputs.iter().zip(gate.pins()).enumerate() {
                                 let t_in = self.input_arrival(&e, vi, &arrival);
-                                let u = unateness(gate.function(), pi);
+                                let u = gate.unateness(pi);
                                 out = out.max(propagate(t_in, pin, u, cl));
                             }
                             (out.worst(), a, out)

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use crate::cover::{Engine, MapMode, MapResult, Partition};
 use crate::error::MapError;
-use crate::lily::{check_placement, run_placed_dp, LayoutOptions, MapOptions};
+use crate::lily::{check_inputs, run_placed_dp, LayoutOptions, MapOptions};
 use crate::matching::{Arena, MatchIndex};
 use lily_cells::Library;
 use lily_netlist::cuts::{cut_cone, enumerate_node, CutScratch};
@@ -259,15 +259,17 @@ impl<'l> CutMapper<'l> {
     ///
     /// # Errors
     ///
-    /// [`MapError::MissingPlacement`] on length mismatches, plus the
-    /// errors of [`CutIndex::build`] and [`cut_matches`].
+    /// [`MapError::MissingPlacement`] on length mismatches,
+    /// [`MapError::DegenerateInput`] for a negative or non-finite wire
+    /// weight, plus the errors of [`CutIndex::build`] and
+    /// [`cut_matches`].
     pub fn map(
         &self,
         g: &SubjectGraph,
         place: &[Point],
         output_pads: &[Point],
     ) -> Result<MapResult, MapError> {
-        check_placement(g, place, output_pads)?;
+        check_inputs(g, place, output_pads, &self.options.layout)?;
         // The cut sets are dead once matched: free them before the DP
         // allocates its per-node state.
         let (idx, cut_stats) = {

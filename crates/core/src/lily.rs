@@ -25,17 +25,32 @@
 //! instead of re-deriving the lists from the engine. The filtered lists
 //! are the [`crate::rects::true_fanouts`] lists, in the same order, so
 //! every cost is bit-identical.
+//!
+//! Most matches are never priced in full. After the first match at a
+//! node, a match whose exact lower bound cannot beat the best key so
+//! far is skipped; every skipped match would have lost, so the cover is
+//! bit-identical. In area mode the bound is the gate's area plus the
+//! solved fanins' costs, without the match's own nets: the nets only add
+//! non-negative wire to a non-negative weight, and IEEE rounding is
+//! monotone. In delay mode it is the arrival with every fanin net
+//! carrying only the candidate's pin and the output only the unmapped
+//! fanouts' pins: the real loads add non-negative caps through
+//! non-negative resistances, and one helper computes both arrivals. The
+//! invariants are checked at the door: a map rejects a negative or
+//! non-finite wire weight, and a library a negative or non-finite
+//! `cap_h`, `cap_v` or `pin_cap`. Test builds price every skipped match
+//! in full and assert that it would not have won.
 
-use crate::cover::{Engine, MapMode, MapResult, Partition};
+use crate::cover::{Engine, MapMode, MapResult, Partition, Scope};
 use crate::error::MapError;
-use crate::matching::MatchSlot;
+use crate::matching::{Match, MatchSlot};
 use crate::position::{center_of_mass, manhattan_median_with, PositionUpdate};
 use crate::rects::{fanin_rect, fanout_points, is_input, unmapped_fanout_count};
 use lily_cells::{GateId, Library};
 use lily_netlist::{NodeState, SubjectGraph, SubjectNodeId};
 use lily_place::{Point, Rect};
 use lily_route::{chung_hwang_factor, net_length_with, PrimScratch, WireModel};
-use lily_timing::{block_arrival, ld_arrival, unateness, Arrival};
+use lily_timing::{block_arrival, ld_arrival, Arrival};
 
 /// Layout-related knobs of the Lily mapper.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +58,8 @@ pub struct LayoutOptions {
     /// Cost units per µm of estimated wire in area mode. The natural
     /// choice is the routing pitch (µm² of chip area per µm of wire);
     /// Section 5 notes that re-running with a reduced weight can help
-    /// when the estimate misleads.
+    /// when the estimate misleads. Must be finite and non-negative; a
+    /// map rejects any other value with [`MapError::DegenerateInput`].
     pub wire_weight: f64,
     /// Net-length model (paper §3.4 offers both).
     pub wire_model: WireModel,
@@ -169,8 +185,10 @@ impl<'l> LilyMapper<'l> {
     ///
     /// # Errors
     ///
-    /// [`MapError::MissingPlacement`] on length mismatches, plus the
-    /// matching errors of [`crate::MatchIndex::build`].
+    /// [`MapError::MissingPlacement`] on length mismatches,
+    /// [`MapError::DegenerateInput`] for a negative or non-finite
+    /// [`LayoutOptions::wire_weight`], plus the matching errors of
+    /// [`crate::MatchIndex::build`].
     pub fn map(
         &self,
         g: &SubjectGraph,
@@ -194,17 +212,21 @@ impl<'l> LilyMapper<'l> {
         output_pads: &[Point],
         matches: &MatchSlot,
     ) -> Result<MapResult, MapError> {
-        check_placement(g, place, output_pads)?;
+        check_inputs(g, place, output_pads, &self.options.layout)?;
         let e = Engine::with_index(g, self.lib, matches.get_or_build(g, self.lib)?);
         run_placed_dp(e, &self.options, place, output_pads)
     }
 }
 
-/// Validates the placement vectors against the graph shape.
-pub(crate) fn check_placement(
+/// Validates the inputs of a placed map: the placement vectors against
+/// the graph shape, and the wire weight. A negative or non-finite
+/// weight would make the area key fall as wire is added, and the DP's
+/// key bound needs it to never fall.
+pub(crate) fn check_inputs(
     g: &SubjectGraph,
     place: &[Point],
     output_pads: &[Point],
+    layout: &LayoutOptions,
 ) -> Result<(), MapError> {
     if place.len() != g.node_count() {
         return Err(MapError::MissingPlacement { expected: g.node_count(), got: place.len() });
@@ -213,6 +235,15 @@ pub(crate) fn check_placement(
         return Err(MapError::MissingPlacement {
             expected: g.outputs().len(),
             got: output_pads.len(),
+        });
+    }
+    if !(layout.wire_weight.is_finite() && layout.wire_weight >= 0.0) {
+        return Err(MapError::DegenerateInput {
+            stage: "map",
+            message: format!(
+                "wire_weight must be finite and non-negative, got {}",
+                layout.wire_weight
+            ),
         });
     }
     Ok(())
@@ -354,6 +385,323 @@ impl FanLists {
     }
 }
 
+/// The buffers of pricing, reused across matches and solves so that
+/// pricing a match allocates nothing once they have grown: the input
+/// positions, the fanin lists, the point set of a position update or
+/// priced net, the MedianFans rectangles and coordinates, the
+/// tree-length scratch and the delay-mode block arrivals.
+#[derive(Debug, Default)]
+struct Scratch {
+    in_pos: Vec<Point>,
+    fans: FanLists,
+    pts: Vec<Point>,
+    rects: Vec<Rect>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    tree: PrimScratch,
+    blocks: Vec<Arrival>,
+}
+
+/// A fully priced match: its DP key and tiebreak, the costs it would
+/// store and its `mapPosition`. The block arrivals stay in
+/// [`Scratch::blocks`].
+#[derive(Debug, Clone, Copy)]
+struct Priced {
+    key: f64,
+    tiebreak: f64,
+    a_cost: f64,
+    w_cost: f64,
+    pos: Point,
+}
+
+/// Whether a match priced at `(key, tiebreak)` replaces the best match
+/// so far, `best` being its `(key, tiebreak)`: a key lower by more than
+/// 1e-12, or a tied key with a tiebreak lower by more than 1e-12.
+fn improves(key: f64, tiebreak: f64, best: Option<(f64, f64)>) -> bool {
+    best.is_none_or(|(bk, bt)| key < bk - 1e-12 || (key < bk + 1e-12 && tiebreak < bt - 1e-12))
+}
+
+/// Whether a match whose key is at least `bound` can never replace a
+/// best match of key `bk` under [`improves`]. Area mode's tiebreak is
+/// always 0, so only a key below `bk - 1e-12` wins there; in delay mode
+/// a key below `bk + 1e-12` may still win on its tiebreak.
+fn cannot_improve(mode: MapMode, bound: f64, bk: f64) -> bool {
+    match mode {
+        MapMode::Area => bound >= bk - 1e-12,
+        MapMode::Delay => bound >= bk + 1e-12,
+    }
+}
+
+/// What every match at one node is priced against: the DP state of the
+/// solved nodes and the sinks of the node's output net.
+struct Site<'a> {
+    e: &'a Engine<'a>,
+    sol: &'a [Solution],
+    place: &'a [Point],
+    output_pads: &'a [Point],
+    options: &'a MapOptions,
+    v: SubjectNodeId,
+    /// The sinks of `v`'s output net, the same for every match.
+    fo_pts: Vec<Point>,
+    /// `v`'s still-unmapped fanouts, the same for every match.
+    unmapped_fanouts: usize,
+}
+
+impl<'a> Site<'a> {
+    fn new(
+        e: &'a Engine<'a>,
+        sol: &'a [Solution],
+        place: &'a [Point],
+        output_pads: &'a [Point],
+        options: &'a MapOptions,
+        v: SubjectNodeId,
+    ) -> Self {
+        let fo_pts = fanout_points(e, v, place, output_pads);
+        let unmapped_fanouts = unmapped_fanout_count(e, v);
+        Self { e, sol, place, output_pads, options, v, fo_pts, unmapped_fanouts }
+    }
+
+    fn fanout_rect(&self, gate_pos: Point) -> Rect {
+        let mut r = Rect::at(gate_pos);
+        for &p in &self.fo_pts {
+            r.expand_to(p);
+        }
+        r
+    }
+
+    /// The costs `m` inherits (Section 3.4): its gate's area plus the
+    /// area and wire costs of its solved fanins. Primary inputs and hawks
+    /// add nothing; their cost is sunk.
+    fn inherited(&self, m: &Match<'_>) -> (f64, f64) {
+        let mut a_cost = self.e.lib.gate(m.gate).area();
+        let mut w_cost = 0.0;
+        for &vi in m.inputs {
+            if !is_input(self.e, vi) && self.e.life.state(vi) != NodeState::Hawk {
+                a_cost += self.sol[vi.index()].a_cost;
+                w_cost += self.sol[vi.index()].w_cost;
+            }
+        }
+        (a_cost, w_cost)
+    }
+
+    /// A lower bound on the key [`Site::price`] gives `m`, from its
+    /// inherited costs alone: in area mode the key without `m`'s own
+    /// nets, in delay mode the arrival with every net at its minimum
+    /// load.
+    fn key_bound(
+        &self,
+        m: &Match<'_>,
+        (a_cost, w_cost): (f64, f64),
+        blocks: &mut Vec<Arrival>,
+    ) -> f64 {
+        match self.options.mode {
+            MapMode::Area => a_cost + self.options.layout.wire_weight * w_cost,
+            MapMode::Delay => {
+                let gate = self.e.lib.gate(m.gate);
+                let min_out = self.unmapped_fanouts as f64 * self.e.lib.technology().pin_cap;
+                self.arrival(m, |pi| gate.pins()[pi].capacitance, min_out, blocks).worst()
+            }
+        }
+    }
+
+    /// The output arrival of `m` (Section 4.4, steps 1–4) when fanin
+    /// `pi`'s net carries `fanin_load(pi)` and `m`'s own output drives
+    /// `out_load`; the block arrivals are left in `blocks`.
+    fn arrival(
+        &self,
+        m: &Match<'_>,
+        fanin_load: impl Fn(usize) -> f64,
+        out_load: f64,
+        blocks: &mut Vec<Arrival>,
+    ) -> Arrival {
+        let lib = self.e.lib;
+        let gate = lib.gate(m.gate);
+        blocks.clear();
+        for (pi, &vi) in m.inputs.iter().enumerate() {
+            // Step 1: re-evaluate the fanin's output arrival under its
+            // load.
+            let t_in = if is_input(self.e, vi) {
+                Arrival::ZERO
+            } else {
+                let s = &self.sol[vi.index()];
+                let fgate = lib.gate(s.gate.expect("solved"));
+                let load = fanin_load(pi);
+                let mut t = Arrival::NEG_INF;
+                for (bj, b) in s.blocks.iter().enumerate() {
+                    t = t.max(ld_arrival(*b, &fgate.pins()[bj], load));
+                }
+                t
+            };
+            // Step 2: block arrival at the candidate.
+            blocks.push(block_arrival(t_in, &gate.pins()[pi], gate.unateness(pi)));
+        }
+        // Step 4: output arrival.
+        let mut out = Arrival::NEG_INF;
+        for (pi, b) in blocks.iter().enumerate() {
+            out = out.max(ld_arrival(*b, &gate.pins()[pi], out_load));
+        }
+        out
+    }
+
+    /// Places and fully prices `m` on top of its inherited costs.
+    fn price(
+        &self,
+        m: &Match<'_>,
+        (a_cost, mut w_cost): (f64, f64),
+        table: &mut FanoutTable,
+        s: &mut Scratch,
+    ) -> Priced {
+        let (e, place, lay) = (self.e, self.place, self.options.layout);
+        let gate = e.lib.gate(m.gate);
+
+        // Input positions: pads for PIs, mapPositions for solved nodes
+        // (hawks keep theirs).
+        s.in_pos.clear();
+        s.in_pos.extend(m.inputs.iter().map(|&vi| {
+            if is_input(e, vi) {
+                place[vi.index()]
+            } else {
+                self.sol[vi.index()].map_pos
+            }
+        }));
+
+        // Fanin rectangles / true fanouts (shared by both the position
+        // update and the wire cost).
+        table.exclude(m.covered);
+        s.fans.fill(table, m.inputs);
+        #[cfg(test)]
+        tests::check_against_oracle(e, m, table, &s.fans, place, self.output_pads);
+
+        // 1. Position the candidate (Section 3.2).
+        let fallback = place[self.v.index()];
+        let pos = match lay.position_update {
+            PositionUpdate::CmMerged => {
+                s.pts.clear();
+                s.pts.extend(m.covered.iter().map(|c| place[c.index()]));
+                center_of_mass(&s.pts, fallback)
+            }
+            PositionUpdate::CmFans => {
+                s.pts.clear();
+                s.pts.extend_from_slice(&s.in_pos);
+                s.pts.extend_from_slice(&self.fo_pts);
+                center_of_mass(&s.pts, fallback)
+            }
+            PositionUpdate::MedianFans => {
+                s.rects.clear();
+                for (i, &p) in s.in_pos.iter().enumerate() {
+                    let mut r = Rect::at(p);
+                    for &fp in s.fans.positions(i) {
+                        r.expand_to(fp);
+                    }
+                    s.rects.push(r);
+                }
+                s.rects.push(self.fanout_rect(fallback));
+                manhattan_median_with(&s.rects, fallback, &mut s.xs, &mut s.ys)
+            }
+        };
+
+        // 2. Add the wire of the nets the match creates (Section 3.4).
+        // Each fanin net is shared by its sinks: the true fanouts plus
+        // the candidate gate. Under the half-perimeter model the fanin
+        // rectangle is the bounding box `half_perimeter` would build
+        // from the net's pins, expanded in the same order.
+        for (i, &p) in s.in_pos.iter().enumerate() {
+            let f = s.fans.positions(i);
+            let len = if lay.wire_model == WireModel::HalfPerimeterSteiner {
+                fanin_rect(p, f, pos).half_perimeter() * chung_hwang_factor(f.len() + 2)
+            } else {
+                s.pts.clear();
+                s.pts.push(p);
+                s.pts.extend_from_slice(f);
+                s.pts.push(pos);
+                net_length_with(lay.wire_model, &s.pts, &mut s.tree)
+            };
+            w_cost += len / (f.len() + 1) as f64;
+        }
+        // Absorbing a multi-fanout node whose signal other consumers
+        // still need forces that logic to be duplicated later (dove
+        // reincarnation); the wire of the net the duplicate must
+        // re-create is charged to this match. This is the
+        // k-distribution-point economics of Figure 1.1(a): killing a
+        // distribution point is only free when nobody else taps it.
+        for &c in &m.covered[1..] {
+            s.pts.clear();
+            s.pts.push(place[c.index()]);
+            s.pts.extend(table.fanouts(c).map(|f| f.pos));
+            if s.pts.len() > 1 {
+                w_cost += net_length_with(lay.wire_model, &s.pts, &mut s.tree);
+            }
+        }
+        let area_key = a_cost + lay.wire_weight * w_cost;
+
+        // 3. Delay evaluation (Section 4.4): the fanin loads are the pin
+        // caps of the true fanouts and the candidate plus the wiring
+        // cap of the fanin rectangle; the output load is estimated from
+        // the base-function fanouts (paper §4.3, step 3).
+        let (key, tiebreak) = match self.options.mode {
+            MapMode::Area => (area_key, 0.0),
+            MapMode::Delay => {
+                let tech = e.lib.technology();
+                let fans = &s.fans;
+                let in_pos = &s.in_pos;
+                let fanin_load = |pi: usize| {
+                    let rect = fanin_rect(in_pos[pi], fans.positions(pi), pos);
+                    fans.caps(pi).iter().sum::<f64>()
+                        + gate.pins()[pi].capacitance
+                        + tech.wire_cap(rect.width(), rect.height())
+                };
+                let fo_rect = self.fanout_rect(pos);
+                let cl = self.unmapped_fanouts as f64 * tech.pin_cap
+                    + tech.wire_cap(fo_rect.width(), fo_rect.height());
+                (self.arrival(m, fanin_load, cl, &mut s.blocks).worst(), area_key)
+            }
+        };
+        Priced { key, tiebreak, a_cost, w_cost, pos }
+    }
+
+    /// The best match at `v` and its solution. After the first match,
+    /// a match whose [`Site::key_bound`] cannot improve on the best so
+    /// far is skipped unpriced; every skipped match would have lost, so
+    /// the choice is the one pricing every match makes.
+    fn solve(
+        &self,
+        scope: &Scope,
+        table: &mut FanoutTable,
+        s: &mut Scratch,
+    ) -> Result<(usize, Solution), MapError> {
+        table.build(self.e, self.v, self.place, self.output_pads);
+        let mut best: Option<(f64, f64, usize, Solution)> = None;
+        for (mi, m) in self.e.idx.at(self.v).iter().enumerate() {
+            if !self.e.match_allowed(scope, &m) {
+                continue;
+            }
+            let inherited = self.inherited(&m);
+            if let Some(&(bk, _bt, _, _)) = best.as_ref() {
+                let bound = self.key_bound(&m, inherited, &mut s.blocks);
+                if cannot_improve(self.options.mode, bound, bk) {
+                    #[cfg(test)]
+                    tests::check_pruned(&self.price(&m, inherited, table, s), bound, (bk, _bt));
+                    continue;
+                }
+            }
+            let p = self.price(&m, inherited, table, s);
+            if improves(p.key, p.tiebreak, best.as_ref().map(|b| (b.0, b.1))) {
+                let blocks = s.blocks.clone();
+                let sol = Solution {
+                    a_cost: p.a_cost,
+                    w_cost: p.w_cost,
+                    blocks,
+                    gate: Some(m.gate),
+                    map_pos: p.pos,
+                };
+                best = Some((p.key, p.tiebreak, mi, sol));
+            }
+        }
+        let (_, _, mi, sol) = best.ok_or(MapError::NoMatch { node: self.v.index() })?;
+        Ok((mi, sol))
+    }
+}
+
 /// The placement-guided covering DP (Sections 3 and 4), shared by every
 /// placed mapper: [`LilyMapper`] drives it over the structural match
 /// index, [`crate::CutMapper`] over NPN-matched cuts. The engine's
@@ -366,194 +714,20 @@ pub(crate) fn run_placed_dp(
     place: &[Point],
     output_pads: &[Point],
 ) -> Result<MapResult, MapError> {
-    let g = e.g;
-    let lib = e.lib;
-
     // Cones in the exit-line order of Section 3.5 when enabled.
     let scopes = e.scopes(options.partition, options.layout.cone_ordering);
-
-    let mut sol: Vec<Solution> = vec![Solution::default(); g.node_count()];
-    let lay = options.layout;
-    let mode = options.mode;
-    let tech = *lib.technology();
-    let mut table = FanoutTable::new(g.node_count());
-    // Buffers reused across matches and solves, so pricing a match
-    // allocates nothing once they have grown: the input positions, the
-    // fanin lists, the point set of a position update or priced net, the
-    // MedianFans rectangles and coordinates, the tree-length scratch and
-    // the delay-mode block arrivals.
-    let mut in_pos: Vec<Point> = Vec::new();
-    let mut fans = FanLists::default();
-    let mut pts: Vec<Point> = Vec::new();
-    let (mut rects, mut xs, mut ys) = (Vec::new(), Vec::new(), Vec::new());
-    let mut tree = PrimScratch::default();
-    let mut blocks: Vec<Arrival> = Vec::new();
+    let n = e.g.node_count();
+    let mut sol: Vec<Solution> = vec![Solution::default(); n];
+    let mut table = FanoutTable::new(n);
+    let mut scratch = Scratch::default();
 
     for scope in &scopes {
         for &v in scope.members() {
             if !e.visit(v) || e.reuse(v) {
                 continue;
             }
-            // The sinks of v's output net and its still-unmapped
-            // fanouts are the same for every match.
-            let fo_pts = fanout_points(&e, v, place, output_pads);
-            let fanout_rect = |gate_pos: Point| {
-                let mut r = Rect::at(gate_pos);
-                for &p in &fo_pts {
-                    r.expand_to(p);
-                }
-                r
-            };
-            let unmapped_fanouts = unmapped_fanout_count(&e, v);
-            table.build(&e, v, place, output_pads);
-            let mut best: Option<(f64, f64, usize, Solution)> = None;
-            for (mi, m) in e.idx.at(v).iter().enumerate() {
-                if !e.match_allowed(scope, &m) {
-                    continue;
-                }
-                let gate = lib.gate(m.gate);
-
-                // Input positions: pads for PIs, mapPositions for
-                // solved nodes (hawks keep theirs).
-                in_pos.clear();
-                in_pos.extend(m.inputs.iter().map(|&vi| {
-                    if is_input(&e, vi) {
-                        place[vi.index()]
-                    } else {
-                        sol[vi.index()].map_pos
-                    }
-                }));
-
-                // Fanin rectangles / true fanouts (shared by both the
-                // position update and the wire cost).
-                table.exclude(m.covered);
-                fans.fill(&table, m.inputs);
-                #[cfg(test)]
-                tests::check_against_oracle(&e, &m, &table, &fans, place, output_pads);
-
-                // 1. Position the candidate (Section 3.2).
-                let fallback = place[v.index()];
-                let pos = match lay.position_update {
-                    PositionUpdate::CmMerged => {
-                        pts.clear();
-                        pts.extend(m.covered.iter().map(|c| place[c.index()]));
-                        center_of_mass(&pts, fallback)
-                    }
-                    PositionUpdate::CmFans => {
-                        pts.clear();
-                        pts.extend_from_slice(&in_pos);
-                        pts.extend_from_slice(&fo_pts);
-                        center_of_mass(&pts, fallback)
-                    }
-                    PositionUpdate::MedianFans => {
-                        rects.clear();
-                        for (i, &p) in in_pos.iter().enumerate() {
-                            let mut r = Rect::at(p);
-                            for &fp in fans.positions(i) {
-                                r.expand_to(fp);
-                            }
-                            rects.push(r);
-                        }
-                        rects.push(fanout_rect(fallback));
-                        manhattan_median_with(&rects, fallback, &mut xs, &mut ys)
-                    }
-                };
-
-                // 2. Accumulate area and wire costs (Section 3.4).
-                let mut a_cost = gate.area();
-                let mut w_cost = 0.0;
-                for &vi in m.inputs {
-                    let contributes = !is_input(&e, vi) && e.life.state(vi) != NodeState::Hawk;
-                    if contributes {
-                        a_cost += sol[vi.index()].a_cost;
-                        w_cost += sol[vi.index()].w_cost;
-                    }
-                }
-                // Each fanin net is shared by its sinks: the true
-                // fanouts plus the candidate gate. Under the
-                // half-perimeter model the fanin rectangle is the
-                // bounding box `half_perimeter` would build from the
-                // net's pins, expanded in the same order.
-                for (i, &p) in in_pos.iter().enumerate() {
-                    let f = fans.positions(i);
-                    let len = if lay.wire_model == WireModel::HalfPerimeterSteiner {
-                        fanin_rect(p, f, pos).half_perimeter() * chung_hwang_factor(f.len() + 2)
-                    } else {
-                        pts.clear();
-                        pts.push(p);
-                        pts.extend_from_slice(f);
-                        pts.push(pos);
-                        net_length_with(lay.wire_model, &pts, &mut tree)
-                    };
-                    w_cost += len / (f.len() + 1) as f64;
-                }
-                // Absorbing a multi-fanout node whose signal other
-                // consumers still need forces that logic to be
-                // duplicated later (dove reincarnation); the wire of the
-                // net the duplicate must re-create is charged to this
-                // match. This is the k-distribution-point economics of
-                // Figure 1.1(a): killing a distribution point is only
-                // free when nobody else taps it.
-                for &c in &m.covered[1..] {
-                    pts.clear();
-                    pts.push(place[c.index()]);
-                    pts.extend(table.fanouts(c).map(|f| f.pos));
-                    if pts.len() > 1 {
-                        w_cost += net_length_with(lay.wire_model, &pts, &mut tree);
-                    }
-                }
-
-                // 3. Delay evaluation (Section 4.4).
-                blocks.clear();
-                let (key, tiebreak) = match mode {
-                    MapMode::Area => (a_cost + lay.wire_weight * w_cost, 0.0),
-                    MapMode::Delay => {
-                        let mut out = Arrival::NEG_INF;
-                        for (pi, (&vi, &p)) in m.inputs.iter().zip(in_pos.iter()).enumerate() {
-                            // Step 1: re-evaluate the fanin's output
-                            // arrival under its current load.
-                            let t_in = if is_input(&e, vi) {
-                                Arrival::ZERO
-                            } else {
-                                let s = &sol[vi.index()];
-                                let fgate = lib.gate(s.gate.expect("solved"));
-                                let rect = fanin_rect(p, fans.positions(pi), pos);
-                                let wire_cap = tech.wire_cap(rect.width(), rect.height());
-                                let load = fans.caps(pi).iter().sum::<f64>()
-                                    + gate.pins()[pi].capacitance
-                                    + wire_cap;
-                                let mut t = Arrival::NEG_INF;
-                                for (bj, b) in s.blocks.iter().enumerate() {
-                                    t = t.max(ld_arrival(*b, &fgate.pins()[bj], load));
-                                }
-                                t
-                            };
-                            // Step 2: block arrival at the candidate.
-                            let u = unateness(gate.function(), pi);
-                            blocks.push(block_arrival(t_in, &gate.pins()[pi], u));
-                        }
-                        // Step 3: estimated output load from the
-                        // base-function fanouts (paper §4.3).
-                        let fo_rect = fanout_rect(pos);
-                        let cl = unmapped_fanouts as f64 * tech.pin_cap
-                            + tech.wire_cap(fo_rect.width(), fo_rect.height());
-                        // Step 4: output arrival.
-                        for (pi, b) in blocks.iter().enumerate() {
-                            out = out.max(ld_arrival(*b, &gate.pins()[pi], cl));
-                        }
-                        (out.worst(), a_cost + lay.wire_weight * w_cost)
-                    }
-                };
-
-                if best.as_ref().is_none_or(|(bk, bt, _, _)| {
-                    key < bk - 1e-12 || (key < bk + 1e-12 && tiebreak < bt - 1e-12)
-                }) {
-                    let blocks = blocks.clone();
-                    let s = Solution { a_cost, w_cost, blocks, gate: Some(m.gate), map_pos: pos };
-                    best = Some((key, tiebreak, mi, s));
-                }
-            }
-            let (_, _, mi, s) = best.ok_or(MapError::NoMatch { node: v.index() })?;
+            let site = Site::new(&e, &sol, place, output_pads, options, v);
+            let (mi, s) = site.solve(scope, &mut table, &mut scratch)?;
             e.record_solve(v, mi, !s.same_bits(&sol[v.index()]));
             sol[v.index()] = s;
         }
@@ -564,7 +738,6 @@ pub(crate) fn run_placed_dp(
     }
     Ok(e.finish())
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,6 +751,22 @@ mod tests {
         /// Matches whose filtered true-fanout lists were checked against
         /// the oracle on this thread.
         static ORACLE_CHECKS: Cell<usize> = const { Cell::new(0) };
+        /// Matches the key bound skipped on this thread, each priced in
+        /// full by [`check_pruned`].
+        static PRUNED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The oracle of the key bound: a match the DP skipped unpriced,
+    /// priced in full, has a key no lower than its bound and would not
+    /// have replaced the best match `(key, tiebreak)` of its node.
+    pub(super) fn check_pruned(full: &Priced, bound: f64, best: (f64, f64)) {
+        let above = bound.partial_cmp(&full.key) == Some(std::cmp::Ordering::Greater);
+        assert!(!above, "bound {bound} above the key of {full:?}");
+        assert!(
+            !improves(full.key, full.tiebreak, Some(best)),
+            "a skipped match would have won: {full:?} against {best:?}"
+        );
+        PRUNED.with(|n| n.set(n.get() + 1));
     }
 
     /// The oracle of the per-solve [`FanoutTable`]: for every input and
@@ -610,12 +799,11 @@ mod tests {
         ORACLE_CHECKS.with(|n| n.set(n.get() + 1));
     }
 
-    #[test]
-    fn fanout_table_matches_the_true_fanouts_oracle() {
+    /// random-dag 400, C432 and an output driver that also feeds two
+    /// gates (its lists mix a committed consumer, an unmapped fanout and
+    /// a pad), each with a scattered placement.
+    fn oracle_inputs() -> Vec<(String, SubjectGraph, Vec<Point>, Vec<Point>)> {
         use lily_workloads::{circuits, scale_circuit, ScaleFamily};
-        let lib = Library::big();
-        // An output driver that also feeds two gates: its lists mix a
-        // committed consumer, an unmapped fanout and a pad.
         let mut tapped = Network::new("tapped");
         let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| tapped.add_input(n));
         let g1 = tapped.add_node("g1", NodeFunc::Nand, vec![a, b]).unwrap();
@@ -626,18 +814,65 @@ mod tests {
         }
         let nets =
             [scale_circuit(ScaleFamily::RandomDag, 400, 1), circuits::circuit("C432"), tapped];
-        for net in nets {
-            let g = decompose(&net, DecomposeOrder::Balanced).unwrap();
-            let place: Vec<Point> = (0..g.node_count())
-                .map(|i| Point::new(((i * 37) % 23) as f64 * 50.0, ((i * 11) % 19) as f64 * 50.0))
-                .collect();
-            let pads: Vec<Point> =
-                (0..g.outputs().len()).map(|i| Point::new(1200.0, i as f64 * 30.0)).collect();
+        nets.into_iter()
+            .map(|net| {
+                let g = decompose(&net, DecomposeOrder::Balanced).unwrap();
+                let place: Vec<Point> = (0..g.node_count())
+                    .map(|i| {
+                        Point::new(((i * 37) % 23) as f64 * 50.0, ((i * 11) % 19) as f64 * 50.0)
+                    })
+                    .collect();
+                let pads: Vec<Point> =
+                    (0..g.outputs().len()).map(|i| Point::new(1200.0, i as f64 * 30.0)).collect();
+                (net.name().to_string(), g, place, pads)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fanout_table_matches_the_true_fanouts_oracle() {
+        let lib = Library::big();
+        for (name, g, place, pads) in oracle_inputs() {
             let before = ORACLE_CHECKS.with(Cell::get);
             let r = LilyMapper::new(&lib).map(&g, &place, &pads).unwrap();
             let checked = ORACLE_CHECKS.with(Cell::get) - before;
             let solves = r.stats.dp_solves;
-            assert!(solves > 0 && checked >= solves, "{}: {checked} matches checked", net.name());
+            assert!(solves > 0 && checked >= solves, "{name}: {checked} matches checked");
+        }
+    }
+
+    #[test]
+    fn the_key_bound_prunes_in_both_modes_and_never_a_winner() {
+        // Every skipped match is priced in full by `check_pruned`, which
+        // asserts it would have lost; the bound must also fire. The
+        // three-gate `tapped` has too few rival matches to prune in area
+        // mode, so the count is per mode over all inputs.
+        let lib = Library::big();
+        let inputs = oracle_inputs();
+        for mode in [MapMode::Area, MapMode::Delay] {
+            let before = PRUNED.with(Cell::get);
+            for (_, g, place, pads) in &inputs {
+                LilyMapper::new(&lib).mode(mode).map(g, place, pads).unwrap();
+            }
+            let pruned = PRUNED.with(Cell::get) - before;
+            assert!(pruned > 0, "{mode:?}: no match pruned");
+        }
+    }
+
+    #[test]
+    fn negative_or_non_finite_wire_weight_is_rejected() {
+        let lib = Library::big();
+        let (g, place, pads) = setup(&sample_network());
+        for w in [-0.5, f64::NAN, f64::INFINITY] {
+            let layout = LayoutOptions { wire_weight: w, ..LayoutOptions::default() };
+            let err = LilyMapper::new(&lib).layout(layout).map(&g, &place, &pads).unwrap_err();
+            assert!(
+                matches!(&err, MapError::DegenerateInput { stage: "map", message }
+                    if message.contains("wire_weight")),
+                "{w}: {err}"
+            );
+            let err = crate::CutMapper::new(&lib).layout(layout).map(&g, &place, &pads);
+            assert!(matches!(err, Err(MapError::DegenerateInput { .. })), "cut mapper, {w}");
         }
     }
 

@@ -19,10 +19,14 @@
 //! covered stack are reused across patterns and nodes; a NAND2 pattern
 //! continues into its right operand from inside the walk of its left
 //! operand instead of collecting the left bindings first; and a
-//! duplicate is caught against the node's own slice of the arena and
-//! rolled back. Each part is enumerated into a per-worker buffer that
-//! keeps its capacity and is then copied out at its exact size, so a
-//! build allocates a few blocks per part and no buffer grows with the
+//! duplicate is caught against the records it can repeat and rolled
+//! back. A pattern never repeats its own matches, so a match is checked
+//! only against the earlier patterns of its gate, and only when one of
+//! them is the same tree up to operand order or the match binds a node
+//! twice ([`lily_cells::pattern::same_as_earlier`] has the argument).
+//! Each part is enumerated into a per-worker buffer that keeps its
+//! capacity and is then copied out at its exact size, so a build
+//! allocates a few blocks per part and no buffer grows with the
 //! graph. The parts are enumerated in parallel and kept in node order,
 //! so the index is byte-identical at any thread count. The cut matcher
 //! ([`crate::cut_matches`]) fills the same arena type.
@@ -32,6 +36,7 @@
 //! first structural mapper built to every later one, so the MIS and
 //! Lily tails of a comparison share it.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::MapError;
@@ -103,14 +108,11 @@ pub(crate) struct Arena {
     node_start: Vec<u32>,
     recs: Vec<Rec>,
     nodes: Vec<SubjectNodeId>,
-    /// The first record a new match can repeat: the open node's first,
-    /// or the first of the open group (see [`Arena::begin_group`]).
-    group: usize,
 }
 
 impl Default for Arena {
     fn default() -> Self {
-        Self { node_start: vec![0], recs: Vec::new(), nodes: Vec::new(), group: 0 }
+        Self { node_start: vec![0], recs: Vec::new(), nodes: Vec::new() }
     }
 }
 
@@ -123,12 +125,26 @@ impl Arena {
         inputs: impl IntoIterator<Item = SubjectNodeId>,
         covered: &[SubjectNodeId],
     ) {
+        let open = self.node_start[self.node_start.len() - 1] as usize;
+        self.push_unless_in(open..usize::MAX, gate, inputs, covered);
+    }
+
+    /// Adds a match to the node under construction unless one of the
+    /// records `repeatable` (cut to the records there are) is identical.
+    fn push_unless_in(
+        &mut self,
+        repeatable: Range<usize>,
+        gate: GateId,
+        inputs: impl IntoIterator<Item = SubjectNodeId>,
+        covered: &[SubjectNodeId],
+    ) {
         let start = self.nodes.len();
         self.nodes.extend(inputs);
         let n_inputs = self.nodes.len() - start;
         self.nodes.extend_from_slice(covered);
         let new = &self.nodes[start..];
-        let dup = self.recs[self.group..].iter().any(|r| {
+        let end = repeatable.end.min(self.recs.len());
+        let dup = self.recs[repeatable.start.min(end)..end].iter().any(|r| {
             r.gate == gate
                 && r.inputs as usize == n_inputs
                 && r.covered as usize == covered.len()
@@ -146,19 +162,9 @@ impl Arena {
         }
     }
 
-    /// Starts a group of records that no earlier record of the open
-    /// node can repeat. A repeat has the same gate, so the structural
-    /// enumerator, which walks a gate's patterns together, opens one
-    /// group per gate and checks each match against its gate's records
-    /// only.
-    fn begin_group(&mut self) {
-        self.group = self.recs.len();
-    }
-
     /// Closes the node under construction and opens the next one.
     fn close_node(&mut self) {
         self.node_start.push(self.recs.len() as u32);
-        self.begin_group();
     }
 
     /// Matches of the `k`-th node of the run.
@@ -173,7 +179,6 @@ impl Arena {
         self.node_start.truncate(1);
         self.recs.clear();
         self.nodes.clear();
-        self.group = 0;
         part
     }
 }
@@ -435,9 +440,10 @@ fn shape_hash(g: &SubjectGraph) -> u64 {
     h
 }
 
-/// One pattern to try: its gate, the gate's fanin, and the pattern
-/// root.
-type Candidate<'l> = (GateId, usize, &'l PatternNode);
+/// One pattern to try: its gate, the gate's fanin, the pattern root,
+/// and whether an earlier pattern of the gate is the same tree up to
+/// operand order.
+type Candidate<'l> = (GateId, usize, &'l PatternNode, bool);
 
 /// The library's patterns by root kind, each list in library order (a
 /// gate's patterns stay together): a pattern rooted at an inverter never
@@ -452,8 +458,8 @@ impl<'l> Patterns<'l> {
     fn new(lib: &'l Library) -> Self {
         let mut p = Self { inv: Vec::new(), nand2: Vec::new() };
         for (gate_id, gate) in lib.iter() {
-            for pattern in gate.patterns() {
-                let c = (gate_id, gate.fanin(), pattern.root());
+            for (k, pattern) in gate.patterns().iter().enumerate() {
+                let c = (gate_id, gate.fanin(), pattern.root(), gate.pattern_same_as_earlier(k));
                 match pattern.root() {
                     PatternNode::Inv(_) => p.inv.push(c),
                     PatternNode::Nand2(..) => p.nand2.push(c),
@@ -478,11 +484,35 @@ impl<'l> Patterns<'l> {
 
 /// The enumeration stacks, reused across patterns and nodes: the pin
 /// bindings of the pattern being walked and the subject nodes it has
-/// absorbed so far.
+/// absorbed so far, plus the marks [`Walk::binds_a_node_twice`] stamps.
 #[derive(Debug, Default)]
 struct Walk {
     binding: Vec<Option<SubjectNodeId>>,
     covered: Vec<SubjectNodeId>,
+    mark: Vec<u32>,
+    stamp: u32,
+}
+
+impl Walk {
+    /// Whether the bound walk covers one of its inputs, covers a node
+    /// twice or puts two pins on one node: the only matches that can
+    /// repeat a match of a pattern of another shape.
+    fn binds_a_node_twice(&mut self, nodes: usize) -> bool {
+        if self.mark.len() < nodes {
+            self.mark.resize(nodes, 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.mark.fill(0);
+            self.stamp = 1;
+        }
+        for u in self.binding.iter().flatten().chain(&self.covered).copied() {
+            if std::mem::replace(&mut self.mark[u.index()], self.stamp) == self.stamp {
+                return true;
+            }
+        }
+        false
+    }
 }
 
 /// What to do with a walk once the pattern walked so far is bound.
@@ -497,17 +527,27 @@ fn enumerate_node(
     walk: &mut Walk,
     out: &mut Arena,
 ) {
-    let mut group = None;
-    for &(gate, fanin, root) in patterns.at(g.kind(v)) {
+    let (mut group, mut gate_first) = (None, 0);
+    for &(gate, fanin, root, same_as_earlier) in patterns.at(g.kind(v)) {
         if group != Some(gate) {
             group = Some(gate);
-            out.begin_group();
+            gate_first = out.recs.len();
         }
+        // A match can only repeat one of the gate's earlier patterns.
+        let earlier = gate_first..out.recs.len();
         walk.binding.clear();
         walk.binding.resize(fanin, None);
         walk.covered.clear();
         enumerate(g, root, v, walk, &mut |w| {
-            out.push(gate, w.binding.iter().map(|b| b.expect("complete binding")), &w.covered);
+            let check =
+                !earlier.is_empty() && (same_as_earlier || w.binds_a_node_twice(g.node_count()));
+            let inputs = w.binding.iter().map(|b| b.expect("complete binding"));
+            out.push_unless_in(
+                if check { earlier.clone() } else { 0..0 },
+                gate,
+                inputs,
+                &w.covered,
+            );
         });
     }
 }
@@ -789,6 +829,47 @@ mod tests {
             [(nand2, vec![id(0), id(1)]), (inv, vec![id(0)]), (nand2, vec![id(1), id(0)])]
         );
         assert_eq!(part.nodes.len(), 3 + 2 + 3, "the duplicate's nodes were rolled back");
+    }
+
+    #[test]
+    fn skipping_the_check_where_no_repeat_is_possible_changes_no_index() {
+        // The reference checks every match against all of its gate's
+        // records at the node.
+        use lily_netlist::decompose::{decompose, DecomposeOrder};
+        use lily_workloads::{circuits::circuit, scale_circuit, ScaleFamily};
+        let l = lib();
+        let patterns = Patterns::new(&l);
+        let mut walk = Walk::default();
+        let nets =
+            [circuit("C880"), circuit("C5315"), scale_circuit(ScaleFamily::RandomDag, 1000, 1)];
+        let mut repeats = 0;
+        for net in nets {
+            let g = decompose(&net, DecomposeOrder::Balanced).unwrap();
+            let idx = MatchIndex::build(&g, &l).unwrap();
+            for v in g.node_ids() {
+                let mut part = Arena::default();
+                let (mut group, mut gate_first) = (None, 0);
+                for &(gate, fanin, root, _) in patterns.at(g.kind(v)) {
+                    if group != Some(gate) {
+                        group = Some(gate);
+                        gate_first = part.recs.len();
+                    }
+                    walk.binding.clear();
+                    walk.binding.resize(fanin, None);
+                    walk.covered.clear();
+                    enumerate(&g, root, v, &mut walk, &mut |w| {
+                        repeats += 1;
+                        let inputs = w.binding.iter().map(|b| b.expect("complete binding"));
+                        part.push_unless_in(gate_first..usize::MAX, gate, inputs, &w.covered);
+                    });
+                }
+                part.close_node();
+                repeats -= part.recs.len();
+                assert_eq!(idx.at(v), part.at(0), "{}: node {v}", net.name());
+            }
+        }
+        // The random DAG's reconvergence makes nand4-6 shapes repeat.
+        assert!(repeats > 0, "the check never fired, so this test shows nothing");
     }
 
     #[test]

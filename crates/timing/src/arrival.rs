@@ -1,8 +1,9 @@
-//! Rise/fall arrival times, pin unateness, and the linear delay model
-//! arcs.
+//! Rise/fall arrival times and the linear delay model arcs. A pin's
+//! [`Unateness`] is a property of its gate, computed once when the gate
+//! is built ([`lily_cells::Gate::unateness`]).
 
 use lily_cells::Pin;
-use lily_netlist::TruthTable;
+pub use lily_cells::Unateness;
 
 /// A rise/fall arrival-time pair, ns.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,51 +56,6 @@ impl Default for Arrival {
     }
 }
 
-/// How a gate output responds to one input pin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Unateness {
-    /// Output never falls when the input rises (AND/OR pins).
-    Positive,
-    /// Output never rises when the input rises (NAND/NOR/INV pins).
-    Negative,
-    /// Both polarities occur (XOR pins).
-    Binate,
-}
-
-/// Determines the unateness of `pin` in `function` by scanning all
-/// cofactor pairs.
-///
-/// # Panics
-///
-/// Panics if `pin` is out of range.
-pub fn unateness(function: TruthTable, pin: usize) -> Unateness {
-    assert!(pin < function.inputs(), "pin out of range");
-    let n = function.inputs();
-    let stride = 1u64 << pin;
-    let mut saw_pos = false;
-    let mut saw_neg = false;
-    for row in 0..(1u64 << n) {
-        if row & stride != 0 {
-            continue;
-        }
-        let lo = (function.bits() >> row) & 1;
-        let hi = (function.bits() >> (row | stride)) & 1;
-        if lo == 0 && hi == 1 {
-            saw_pos = true;
-        }
-        if lo == 1 && hi == 0 {
-            saw_neg = true;
-        }
-    }
-    match (saw_pos, saw_neg) {
-        (true, true) => Unateness::Binate,
-        (false, true) => Unateness::Negative,
-        // A pin with no observable effect is treated as positive; it
-        // never determines the arrival anyway.
-        _ => Unateness::Positive,
-    }
-}
-
 /// Block arrival time at a gate output through one pin: the
 /// load-independent part `b_i = t_i + I_i`, with the rise/fall crossing
 /// dictated by the pin's unateness (paper §4.3: "LIs have zero output
@@ -138,7 +94,9 @@ pub fn propagate(input: Arrival, pin: &Pin, unate: Unateness, load_pf: f64) -> A
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lily_cells::gate::unateness;
     use lily_cells::DelayParams;
+    use lily_netlist::TruthTable;
 
     fn pin(intrinsic: f64, resistance: f64) -> Pin {
         Pin {

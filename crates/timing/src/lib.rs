@@ -10,8 +10,8 @@
 //! load-dependent part `R_i·C_L` (recomputed as fanout loads become
 //! known) — Section 4.3's key device.
 //!
-//! * [`arrival`] — rise/fall arrival tuples, pin unateness, arc
-//!   propagation, and the block-arrival split.
+//! * [`arrival`] — rise/fall arrival tuples, arc propagation, and the
+//!   block-arrival split.
 //! * [`load`] — output load computation (pin caps + wiring cap).
 //! * [`sta`] — full static timing analysis with critical-path
 //!   extraction and slacks.
@@ -22,7 +22,7 @@ pub mod load;
 pub mod report;
 pub mod sta;
 
-pub use arrival::{block_arrival, ld_arrival, propagate, unateness, Arrival, Unateness};
+pub use arrival::{block_arrival, ld_arrival, propagate, Arrival, Unateness};
 pub use error::TimingError;
 pub use load::{net_wire_cap, output_load, WireLoad};
 pub use report::{critical_path_report, slack_summary};

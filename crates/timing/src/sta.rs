@@ -4,7 +4,7 @@
 //! the linear delay model, the longest-path delay (the value reported in
 //! Table 2), the critical path itself, and per-cell slacks.
 
-use crate::arrival::{propagate, unateness, Arrival};
+use crate::arrival::{propagate, Arrival};
 use crate::error::TimingError;
 use crate::load::{output_load, WireLoad};
 use lily_cells::{CellId, Library, MappedNetwork, SignalSource};
@@ -89,7 +89,7 @@ pub fn try_analyze(
                 SignalSource::Input(_) => pi_arrival,
                 SignalSource::Cell(fc) => cell_arrival[fc.index()],
             };
-            let u = unateness(gate.function(), pi);
+            let u = gate.unateness(pi);
             let out = propagate(input, pin, u, load_of_cell[c.index()]);
             if out.worst() > best.worst() {
                 best_pin = pi;
@@ -146,7 +146,7 @@ pub fn try_analyze(
         for (pi, (&src, pin)) in cell.fanins.iter().zip(gate.pins()).enumerate() {
             if let SignalSource::Cell(fc) = src {
                 // Worst arc delay through this pin at the cell's load.
-                let u = unateness(gate.function(), pi);
+                let u = gate.unateness(pi);
                 let d = propagate(Arrival::ZERO, pin, u, load_of_cell[c.index()]).worst();
                 required[fc.index()] = required[fc.index()].min(req_out - d);
             }
