@@ -11,7 +11,7 @@
 use lily_bench::harness::Harness;
 use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_place::global::try_global_place;
-use lily_place::multilevel::{try_multilevel_place, MultilevelOptions};
+use lily_place::multilevel::try_multilevel_place;
 use lily_place::{AreaModel, Rect, SubjectPlacement};
 use lily_workloads::{circuits, scale_circuit, ScaleFamily};
 
@@ -36,8 +36,7 @@ fn main() {
     problem.fixed = lily_place::pads::perimeter_points(core, problem.fixed.len());
     let id = format!("random-dag-5000-{}", problem.movable);
     h.bench("subject_placement", &format!("multilevel/{id}"), || {
-        try_multilevel_place(&problem, &MultilevelOptions::for_region(core))
-            .map_or(0, |mp| mp.positions.len())
+        try_multilevel_place(&problem, core).map_or(0, |mp| mp.positions.len())
     });
     h.bench("subject_placement", &format!("flat/{id}"), || {
         try_global_place(&problem, core).map_or(0, |gp| gp.positions.len())

@@ -30,6 +30,7 @@ use std::collections::BTreeMap;
 use crate::gate::GateId;
 use crate::library::Library;
 use lily_netlist::func::MAX_TT_INPUTS;
+use lily_netlist::hash::Fnv1a;
 use lily_netlist::TruthTable;
 
 /// Row mask selecting the truth-table rows where input `i` is 0
@@ -236,28 +237,20 @@ fn fingerprint_of(
     classes: &BTreeMap<(u8, u64), Vec<GateId>>,
     matchers: &BTreeMap<(u8, u64), Vec<PinAssignment>>,
 ) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = BASIS;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a::default();
     for ((n, bits), gates) in classes {
-        eat(&[*n]);
-        eat(&bits.to_le_bytes());
+        h.bytes(&[*n]);
+        h.bytes(&bits.to_le_bytes());
         for g in gates {
-            eat(&(g.index() as u64).to_le_bytes());
+            h.bytes(&(g.index() as u64).to_le_bytes());
         }
     }
     for ((n, bits), pins) in matchers {
-        eat(&[0xff, *n]);
-        eat(&bits.to_le_bytes());
-        eat(&(pins.len() as u64).to_le_bytes());
+        h.bytes(&[0xff, *n]);
+        h.bytes(&bits.to_le_bytes());
+        h.bytes(&(pins.len() as u64).to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

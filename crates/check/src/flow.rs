@@ -10,10 +10,8 @@ use crate::{
 };
 use lily_cells::{Library, MappedNetwork};
 use lily_netlist::{Network, SubjectGraph};
-use lily_place::{
-    pads, try_multilevel_place, MultilevelOptions, PlaceError, Point, Rect, SubjectPlacement,
-};
-use lily_timing::{try_analyze, StaOptions, TimingError};
+use lily_place::{pads, try_multilevel_place, PlaceError, Point, Rect, SubjectPlacement};
+use lily_timing::{try_analyze, TimingError, WireLoad};
 
 /// Every pass's report, in pipeline order: `network`, `subject`,
 /// `decompose-equiv`, `hierarchy`, `mapped`, `cover-equiv`,
@@ -86,8 +84,7 @@ pub fn check_flow(
         let core = Rect::new(0.0, 0.0, 3000.0, 3000.0);
         let mut problem = subject_placement.problem;
         problem.fixed = pads::perimeter_points(core, problem.fixed.len());
-        let m = try_multilevel_place(&problem, &MultilevelOptions::for_region(core))
-            .map_err(FlowCheckError::Hierarchy)?;
+        let m = try_multilevel_place(&problem, core).map_err(FlowCheckError::Hierarchy)?;
         Some(check_hierarchy(&m.hierarchy, problem.movable, &m.level_positions, core))
     } else {
         None
@@ -105,7 +102,7 @@ pub fn check_flow(
         .map(|&(x, y)| Point::new(x, y));
     passes.push(("placement", Rect::bounding(pads).map(|core| check_placement(mapped, lib, core))));
 
-    let sta = try_analyze(mapped, lib, &StaOptions::default()).map_err(FlowCheckError::Timing)?;
-    passes.push(("timing", Some(check_timing(mapped, &sta, 0.0))));
+    let sta = try_analyze(mapped, lib, WireLoad::FromPlacement).map_err(FlowCheckError::Timing)?;
+    passes.push(("timing", Some(check_timing(mapped, &sta))));
     Ok(FlowReport { passes, critical_delay: sta.critical_delay })
 }

@@ -452,11 +452,7 @@ mod tests {
                 fixed: vec![Point::new(core.llx, core.lly), Point::new(core.urx, core.ury)],
                 nets,
             };
-            let m = lily_place::try_multilevel_place(
-                &problem,
-                &lily_place::MultilevelOptions::for_region(core),
-            )
-            .expect("multilevel placement");
+            let m = lily_place::try_multilevel_place(&problem, core).expect("multilevel placement");
             let r = check_hierarchy(&m.hierarchy, problem.movable, &m.level_positions, core);
             assert!(r.is_clean(), "{r}");
         }

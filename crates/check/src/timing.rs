@@ -1,5 +1,5 @@
 //! Sanity checks over an STA result (`TM*` codes): arrivals must be
-//! finite, never earlier than the primary-input arrival, topologically
+//! finite, never earlier than the primary inputs (time 0), topologically
 //! monotone along timing arcs, and consistent with the reported
 //! critical delay.
 
@@ -17,15 +17,15 @@ const EPS: f64 = 1e-9;
 ///   the worst output arrival.
 /// * `TM003` — arrivals and the critical delay must be finite (slacks
 ///   may be `+∞` for cells feeding no output, but never NaN).
-/// * `TM001` — no arrival may precede `input_arrival` (with
-///   non-negative arc delays, nothing can appear earlier than the
-///   inputs).
+/// * `TM001` — no arrival may be negative (every primary input arrives
+///   at time 0, and with non-negative arc delays nothing can appear
+///   earlier than the inputs).
 /// * `TM002` — along every cell→cell arc, the consumer's worst arrival
 ///   must be at least the producer's.
 ///
 /// The mapped network is assumed structurally valid (see
 /// [`crate::check_mapped`]).
-pub fn check_timing(mapped: &MappedNetwork, sta: &StaResult, input_arrival: f64) -> Report {
+pub fn check_timing(mapped: &MappedNetwork, sta: &StaResult) -> Report {
     let mut report = Report::new();
     let n = mapped.cell_count();
 
@@ -73,14 +73,11 @@ pub fn check_timing(mapped: &MappedNetwork, sta: &StaResult, input_arrival: f64)
                 Locus::Cell(ci),
                 format!("arrival ({}, {}) is not finite", a.rise, a.fall),
             ));
-        } else if a.rise < input_arrival - EPS || a.fall < input_arrival - EPS {
+        } else if a.rise < -EPS || a.fall < -EPS {
             report.push(Diagnostic::new(
                 Code::Tm001,
                 Locus::Cell(ci),
-                format!(
-                    "arrival ({}, {}) precedes the input arrival {input_arrival}",
-                    a.rise, a.fall
-                ),
+                format!("arrival ({}, {}) precedes the input arrival 0", a.rise, a.fall),
             ));
         }
     }
@@ -138,7 +135,7 @@ pub fn check_timing(mapped: &MappedNetwork, sta: &StaResult, input_arrival: f64)
     // TM004: outputs restate their drivers; critical delay is the max.
     for (oi, (name, src)) in mapped.outputs.iter().enumerate() {
         let driver = match *src {
-            SignalSource::Input(_) => input_arrival,
+            SignalSource::Input(_) => 0.0,
             SignalSource::Cell(c) => sta.cell_arrival[c.index()].worst(),
         };
         let here = sta.output_arrival[oi].worst();
@@ -168,10 +165,10 @@ pub fn check_timing(mapped: &MappedNetwork, sta: &StaResult, input_arrival: f64)
 mod tests {
     use super::*;
     use lily_cells::{Library, MappedCell};
-    use lily_timing::{try_analyze, Arrival, StaOptions, StaResult, WireLoad};
+    use lily_timing::{try_analyze, Arrival, StaResult, WireLoad};
 
-    fn analyze(m: &MappedNetwork, lib: &Library, opts: &StaOptions) -> StaResult {
-        try_analyze(m, lib, opts).expect("static timing analysis failed")
+    fn analyze(m: &MappedNetwork, lib: &Library) -> StaResult {
+        try_analyze(m, lib, WireLoad::None).expect("static timing analysis failed")
     }
 
     fn chain(lib: &Library, n: usize) -> MappedNetwork {
@@ -196,8 +193,8 @@ mod tests {
     fn real_sta_is_clean() {
         let lib = Library::tiny();
         let m = chain(&lib, 4);
-        let sta = analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 });
-        let r = check_timing(&m, &sta, 0.0);
+        let sta = analyze(&m, &lib);
+        let r = check_timing(&m, &sta);
         assert!(r.is_clean(), "{r}");
     }
 
@@ -205,10 +202,9 @@ mod tests {
     fn negative_arrival_is_tm001() {
         let lib = Library::tiny();
         let m = chain(&lib, 2);
-        let mut sta =
-            analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 });
+        let mut sta = analyze(&m, &lib);
         sta.cell_arrival[0] = Arrival::new(-1.0, -1.0);
-        let r = check_timing(&m, &sta, 0.0);
+        let r = check_timing(&m, &sta);
         assert!(r.has_code(Code::Tm001), "{r}");
     }
 
@@ -216,11 +212,10 @@ mod tests {
     fn non_monotone_arrival_is_tm002() {
         let lib = Library::tiny();
         let m = chain(&lib, 3);
-        let mut sta =
-            analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 });
+        let mut sta = analyze(&m, &lib);
         // Make the middle cell arrive after its consumer.
         sta.cell_arrival[1] = sta.cell_arrival[2].offset(5.0);
-        let r = check_timing(&m, &sta, 0.0);
+        let r = check_timing(&m, &sta);
         assert!(r.has_code(Code::Tm002), "{r}");
     }
 
@@ -228,9 +223,8 @@ mod tests {
     fn stale_critical_delay_is_tm004() {
         let lib = Library::tiny();
         let m = chain(&lib, 2);
-        let mut sta =
-            analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 });
+        let mut sta = analyze(&m, &lib);
         sta.critical_delay += 3.0;
-        assert!(check_timing(&m, &sta, 0.0).has_code(Code::Tm004));
+        assert!(check_timing(&m, &sta).has_code(Code::Tm004));
     }
 }

@@ -13,10 +13,10 @@ use lily_core::flow::{FlowOptions, FlowResult};
 use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_netlist::{SubjectGraph, SubjectNodeId};
 use lily_place::{Point, Rect};
-use lily_timing::{try_analyze, StaOptions, StaResult};
+use lily_timing::{try_analyze, StaResult, WireLoad};
 
-fn analyze(m: &MappedNetwork, lib: &Library, opts: &StaOptions) -> StaResult {
-    try_analyze(m, lib, opts).expect("static timing analysis failed")
+fn analyze(m: &MappedNetwork, lib: &Library) -> StaResult {
+    try_analyze(m, lib, WireLoad::FromPlacement).expect("static timing analysis failed")
 }
 
 const VECTORS: usize = DEFAULT_VECTORS;
@@ -70,8 +70,8 @@ fn clean_flow_reports_zero_diagnostics() {
         assert!(r.is_clean(), "{name} cover-equiv: {r}");
         let r = check_placement(mapped, &lib, core_of(&result));
         assert!(r.is_clean(), "{name} placement: {r}");
-        let sta = analyze(mapped, &lib, &StaOptions::default());
-        let r = check_timing(mapped, &sta, 0.0);
+        let sta = analyze(mapped, &lib);
+        let r = check_timing(mapped, &sta);
         assert!(r.is_clean(), "{name} timing: {r}");
     }
 }
@@ -243,8 +243,8 @@ fn moved_pad_is_pl003() {
 fn injected_stale_timing_is_tm004() {
     let (_, result, lib) = mapped_flow("misex1");
     let mapped = &result.mapped;
-    let mut sta = analyze(mapped, &lib, &StaOptions::default());
+    let mut sta = analyze(mapped, &lib);
     sta.critical_delay += 1.0;
-    let r = check_timing(mapped, &sta, 0.0);
+    let r = check_timing(mapped, &sta);
     assert!(r.has_code(Code::Tm004), "{r}");
 }

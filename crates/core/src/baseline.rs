@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn delay_mode_is_no_slower_than_area_mode() {
         use lily_timing::load::WireLoad;
-        use lily_timing::{try_analyze, StaOptions};
+        use lily_timing::try_analyze;
         let lib = Library::big();
         // A chain deep enough that gate choice matters.
         let mut net = Network::new("chain");
@@ -261,11 +261,10 @@ mod tests {
         }
         net.add_output("y", prev);
         let g = decompose(&net, DecomposeOrder::Chain).unwrap();
-        let opts = StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 };
         let ra = MisMapper::new(&lib).mode(MapMode::Area).map(&g).unwrap();
         let rd = MisMapper::new(&lib).mode(MapMode::Delay).map(&g).unwrap();
-        let da = try_analyze(&ra.mapped, &lib, &opts).expect("sta failed").critical_delay;
-        let dd = try_analyze(&rd.mapped, &lib, &opts).expect("sta failed").critical_delay;
+        let da = try_analyze(&ra.mapped, &lib, WireLoad::None).expect("sta failed").critical_delay;
+        let dd = try_analyze(&rd.mapped, &lib, WireLoad::None).expect("sta failed").critical_delay;
         assert!(dd <= da + 1e-9, "delay mode {dd} worse than area mode {da}");
     }
 

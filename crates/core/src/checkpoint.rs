@@ -37,6 +37,7 @@ use crate::flow::{Degradation, FlowOptions};
 use crate::json::{array, Json, JsonObject};
 use crate::stage::codec::Fields;
 use crate::stage::FlowContext;
+use lily_netlist::hash::Fnv1a;
 use lily_netlist::Network;
 
 // ---------------------------------------------------------------------
@@ -105,19 +106,13 @@ fn intern(table: &[&'static str], s: &str) -> Result<&'static str, String> {
 /// subject graph is rebuilt node by node and any mismatch discards the
 /// checkpoint.)
 fn fingerprint(net: &Network, options: &FlowOptions) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(format!("{options:?}").as_bytes());
-    eat(net.name().as_bytes());
-    eat(&(net.input_count() as u64).to_le_bytes());
-    eat(&(net.output_count() as u64).to_le_bytes());
-    eat(&(net.node_count() as u64).to_le_bytes());
-    h
+    let mut h = Fnv1a::default();
+    h.bytes(format!("{options:?}").as_bytes());
+    h.bytes(net.name().as_bytes());
+    h.bytes(&(net.input_count() as u64).to_le_bytes());
+    h.bytes(&(net.output_count() as u64).to_le_bytes());
+    h.bytes(&(net.node_count() as u64).to_le_bytes());
+    h.finish()
 }
 
 // ---------------------------------------------------------------------

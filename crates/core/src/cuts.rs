@@ -237,13 +237,6 @@ impl<'l> CutMapper<'l> {
         self
     }
 
-    /// Replaces the cut-enumeration bounds.
-    #[must_use]
-    pub fn cuts(mut self, config: CutConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// The current cost options.
     pub fn options(&self) -> &MapOptions {
         &self.options

@@ -210,9 +210,6 @@ impl From<lily_place::PlaceError> for MapError {
             P::InvalidProblem { message } => {
                 MapError::DegenerateInput { stage: "placement", message }
             }
-            P::InvalidOptions { message } => {
-                MapError::DegenerateInput { stage: "placement options", message }
-            }
             P::Cancelled { context } => MapError::Cancelled { context },
         }
     }

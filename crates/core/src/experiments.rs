@@ -12,7 +12,6 @@ use crate::cover::MapStats;
 use crate::error::MapError;
 use crate::lily::{LayoutOptions, LilyMapper};
 use crate::matching::MatchSlot;
-use crate::stage::{MapImage, Mapper};
 use lily_cells::Library;
 use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_netlist::{Network, NodeFunc, SubjectGraph, SubjectKind};
@@ -32,8 +31,8 @@ fn six_nand(name: &str, order: &[usize; 6]) -> Network {
 }
 
 /// The figure experiments' Lily configuration: a wire weight comparable
-/// to routing pitch, driven through the unified [`Mapper`] trait.
-fn figure_mapper(lib: &Library) -> impl Mapper + '_ {
+/// to routing pitch.
+fn figure_mapper(lib: &Library) -> LilyMapper<'_> {
     LilyMapper::new(lib).layout(LayoutOptions { wire_weight: 50.0, ..LayoutOptions::default() })
 }
 
@@ -71,12 +70,11 @@ pub fn distribution_points(
     for &spread in spreads {
         let (place, pads) = cluster_placement(&g, spread);
         // Lily's choice under a wire weight comparable to routing pitch.
-        let image = MapImage { positions: &place, output_pads: &pads };
-        let lily = figure_mapper(lib).map_subject(&g, Some(&image), &matches)?;
+        let lily = figure_mapper(lib).map_with(&g, &place, &pads, &matches)?;
         let wire_lily = mapped_wire(&lily.mapped, &place_pads(&place, &g), &pads);
         // Forced one-gate cover: the wire-blind mapper on a 6-NAND
         // always picks nand6.
-        let one = MisMapper::new(lib).map_subject(&g, None, &matches)?;
+        let one = MisMapper::new(lib).map_with(&g, &matches)?;
         let mut one_mapped = one.mapped;
         // Place the single gate at the sources' centroid (its best case).
         let centroid = centroid_of_inputs(&g, &place);
@@ -124,8 +122,7 @@ fn alignment_case(lib: &Library, spread: f64, order: &[usize; 6]) -> Result<f64,
     let net = six_nand("fig1b", order);
     let g = decompose(&net, DecomposeOrder::Balanced)?;
     let (place, pads) = cluster_placement(&g, spread);
-    let image = MapImage { positions: &place, output_pads: &pads };
-    let lily = figure_mapper(lib).map_subject(&g, Some(&image), &MatchSlot::default())?;
+    let lily = figure_mapper(lib).map(&g, &place, &pads)?;
     Ok(mapped_wire(&lily.mapped, &place_pads(&place, &g), &pads))
 }
 

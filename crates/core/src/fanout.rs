@@ -5,26 +5,11 @@
 //! High-fanout nets are split into trees of buffer stages. Libraries in
 //! this reproduction have no dedicated buffer cell, so a stage is a
 //! pair of inverters in series (function-preserving). Sinks are grouped
-//! geometrically when placement is available, so each stage's subtree
-//! stays local — the layout-driven flavor of the classic pass.
+//! geometrically, so each stage's subtree stays local — the
+//! layout-driven flavor of the classic pass.
 
 use lily_cells::{CellId, Library, MappedCell, MappedNetwork, SignalSource};
 use lily_place::Point;
-
-/// Options for [`buffer_fanout`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FanoutOptions {
-    /// Maximum sinks any driver may keep; nets above this are split.
-    pub max_fanout: usize,
-    /// Group sinks by position (true) or by order (false).
-    pub placement_aware: bool,
-}
-
-impl Default for FanoutOptions {
-    fn default() -> Self {
-        Self { max_fanout: 6, placement_aware: true }
-    }
-}
 
 /// One sink of a net during buffering.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +18,17 @@ enum Sink {
     Output(usize),
 }
 
-/// Splits every net with more than `opts.max_fanout` sinks by inserting
+impl Sink {
+    fn position(&self, mapped: &MappedNetwork) -> Point {
+        let (x, y) = match *self {
+            Sink::Pin(c, _) => mapped.cell(c).position,
+            Sink::Output(o) => mapped.output_positions[o],
+        };
+        Point::new(x, y)
+    }
+}
+
+/// Splits every net with more than `max_fanout` sinks by inserting
 /// inverter-pair buffer stages. Returns the number of inverters added.
 ///
 /// The pass preserves circuit function exactly (each stage is a double
@@ -42,9 +37,9 @@ enum Sink {
 ///
 /// # Panics
 ///
-/// Panics if `opts.max_fanout < 2` (a tree cannot reduce otherwise).
-pub fn buffer_fanout(mapped: &mut MappedNetwork, lib: &Library, opts: &FanoutOptions) -> usize {
-    assert!(opts.max_fanout >= 2, "max_fanout must be at least 2");
+/// Panics if `max_fanout < 2` (a tree cannot reduce otherwise).
+pub fn buffer_fanout(mapped: &mut MappedNetwork, lib: &Library, max_fanout: usize) -> usize {
+    assert!(max_fanout >= 2, "max_fanout must be at least 2");
     let inv = lib.inverter();
     let mut added = 0usize;
 
@@ -61,40 +56,21 @@ pub fn buffer_fanout(mapped: &mut MappedNetwork, lib: &Library, opts: &FanoutOpt
                 .map(|&(c, p)| Sink::Pin(c, p))
                 .chain(net.output_sinks.iter().map(|&o| Sink::Output(o)))
                 .collect();
-            if sinks.len() <= opts.max_fanout {
+            if sinks.len() <= max_fanout {
                 continue;
             }
             worked = true;
-            // Keep one direct sink on the driver, buffer the rest in
-            // groups.
-            if opts.placement_aware {
-                let pos = |s: &Sink| match s {
-                    Sink::Pin(c, _) => mapped.cell(*c).position,
-                    Sink::Output(o) => mapped.output_positions[*o],
-                };
-                sinks.sort_by(|a, b| {
-                    let (ax, ay) = pos(a);
-                    let (bx, by) = pos(b);
-                    (ax + ay).partial_cmp(&(bx + by)).unwrap_or(std::cmp::Ordering::Equal)
-                });
-            }
-            let groups: Vec<Vec<Sink>> =
-                sinks.chunks(opts.max_fanout).map(<[Sink]>::to_vec).collect();
+            // Group sinks that are near along the x + y diagonal, then
+            // buffer each group.
+            sinks.sort_by(|a, b| {
+                let (a, b) = (a.position(mapped), b.position(mapped));
+                (a.x + a.y).partial_cmp(&(b.x + b.y)).unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let groups: Vec<Vec<Sink>> = sinks.chunks(max_fanout).map(<[Sink]>::to_vec).collect();
             for group in groups {
                 // Stage position: centroid of the group.
-                let centroid = {
-                    let pts: Vec<Point> = group
-                        .iter()
-                        .map(|s| {
-                            let (x, y) = match s {
-                                Sink::Pin(c, _) => mapped.cell(*c).position,
-                                Sink::Output(o) => mapped.output_positions[*o],
-                            };
-                            Point::new(x, y)
-                        })
-                        .collect();
-                    crate::position::center_of_mass(&pts, Point::default())
-                };
+                let pts: Vec<Point> = group.iter().map(|s| s.position(mapped)).collect();
+                let centroid = crate::position::center_of_mass(&pts, Point::default());
                 let first = mapped.add_cell(MappedCell {
                     gate: inv,
                     fanins: vec![net.source],
@@ -169,7 +145,7 @@ mod tests {
         let lib = Library::big();
         let (g, mut m) = star(&lib, 17);
         assert!(equiv_mapped_subject(&g, &m, &lib, 16, 1));
-        let added = buffer_fanout(&mut m, &lib, &FanoutOptions::default());
+        let added = buffer_fanout(&mut m, &lib, 6);
         assert!(added > 0);
         assert!(equiv_mapped_subject(&g, &m, &lib, 16, 1), "function changed");
     }
@@ -178,8 +154,7 @@ mod tests {
     fn fanout_limit_is_respected() {
         let lib = Library::big();
         let (_, mut m) = star(&lib, 30);
-        let opts = FanoutOptions { max_fanout: 4, placement_aware: true };
-        buffer_fanout(&mut m, &lib, &opts);
+        buffer_fanout(&mut m, &lib, 4);
         for net in m.nets() {
             let total = net.sinks.len() + net.output_sinks.len();
             assert!(total <= 4, "net still drives {total} sinks");
@@ -191,7 +166,7 @@ mod tests {
         let lib = Library::big();
         let (_, mut m) = star(&lib, 3);
         let before = m.cell_count();
-        let added = buffer_fanout(&mut m, &lib, &FanoutOptions::default());
+        let added = buffer_fanout(&mut m, &lib, 6);
         assert_eq!(added, 0);
         assert_eq!(m.cell_count(), before);
     }
@@ -199,13 +174,12 @@ mod tests {
     #[test]
     fn buffering_reduces_delay_on_heavy_nets() {
         use lily_timing::load::WireLoad;
-        use lily_timing::sta::{try_analyze, StaOptions};
+        use lily_timing::sta::try_analyze;
         let lib = Library::big();
         let (_, mut m) = star(&lib, 40);
-        let opts = StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 };
-        let before = try_analyze(&m, &lib, &opts).expect("sta failed").critical_delay;
-        buffer_fanout(&mut m, &lib, &FanoutOptions { max_fanout: 8, placement_aware: true });
-        let after = try_analyze(&m, &lib, &opts).expect("sta failed").critical_delay;
+        let before = try_analyze(&m, &lib, WireLoad::None).expect("sta failed").critical_delay;
+        buffer_fanout(&mut m, &lib, 8);
+        let after = try_analyze(&m, &lib, WireLoad::None).expect("sta failed").critical_delay;
         assert!(
             after < before,
             "buffering a 40-sink net must shorten the path: {after} !< {before}"
@@ -217,6 +191,6 @@ mod tests {
     fn degenerate_limit_panics() {
         let lib = Library::big();
         let (_, mut m) = star(&lib, 3);
-        buffer_fanout(&mut m, &lib, &FanoutOptions { max_fanout: 1, placement_aware: false });
+        buffer_fanout(&mut m, &lib, 1);
     }
 }

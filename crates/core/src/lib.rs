@@ -44,10 +44,10 @@ pub use baseline::MisMapper;
 pub use cover::{MapMode, MapResult, MapStats, Partition};
 pub use cuts::{cut_matches, CutIndex, CutMapper};
 pub use error::MapError;
-pub use fanout::{buffer_fanout, FanoutOptions};
+pub use fanout::buffer_fanout;
 pub use flow::{compare_flows, run_flow, FlowComparison, FlowOptions, FlowRun, PhysicalOptions};
 pub use lily::{LayoutOptions, LilyMapper, MapOptions};
 pub use matching::{Match, MatchIndex, MatchSlot};
 pub use mem::{estimate_peak_bytes, MemExceeded, MemGauge, MemReservation};
 pub use position::PositionUpdate;
-pub use stage::{FlowContext, Mapper, Stage, StageMetrics, StageRecord};
+pub use stage::{FlowContext, Stage, StageMetrics, StageRecord};

@@ -41,6 +41,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::MapError;
 use lily_cells::{GateId, Library, PatternNode};
+use lily_netlist::hash::Fnv1a;
 use lily_netlist::{SubjectGraph, SubjectKind, SubjectNodeId};
 use lily_par::ParOptions;
 
@@ -425,19 +426,15 @@ impl std::fmt::Debug for MatchSlot {
 /// FNV-1a over a subject graph's node kinds: what a structural match
 /// index is a function of, besides the library.
 fn shape_hash(g: &SubjectGraph) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv1a::default();
     for &kind in g.kinds() {
-        match kind {
-            SubjectKind::Input(pi) => mix(pi as u64),
-            SubjectKind::Inv(a) => mix(1 << 62 | a.index() as u64),
-            SubjectKind::Nand2(a, b) => mix(2 << 62 | (a.index() as u64) << 31 | b.index() as u64),
-        }
+        h.word(match kind {
+            SubjectKind::Input(pi) => pi as u64,
+            SubjectKind::Inv(a) => 1 << 62 | a.index() as u64,
+            SubjectKind::Nand2(a, b) => 2 << 62 | (a.index() as u64) << 31 | b.index() as u64,
+        });
     }
-    h
+    h.finish()
 }
 
 /// One pattern to try: its gate, the gate's fanin, the pattern root,

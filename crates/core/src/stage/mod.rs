@@ -30,12 +30,10 @@
 
 pub(crate) mod codec;
 mod context;
-mod mapper;
 mod metrics;
 mod stages;
 
 pub use context::FlowContext;
-pub use mapper::{MapImage, Mapper};
 pub use metrics::{StageMetrics, StageRecord};
 pub use stages::{
     mapped_problem, AssignPads, Decompose, DetailedPlace, LegalPlacement, Legalize, Map, Mapping,

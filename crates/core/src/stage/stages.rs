@@ -16,7 +16,7 @@ use crate::lily::LilyMapper;
 use crate::stage::codec::{
     encode_mapped, encode_points, encode_rect, encode_stats, hex_array, Fields,
 };
-use crate::stage::{ArtifactCodec, FlowContext, MapImage, Mapper, Stage, StageArtifact};
+use crate::stage::{ArtifactCodec, FlowContext, Stage, StageArtifact};
 use lily_cells::{CellId, Library, MappedNetwork, SignalSource};
 use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_netlist::{Network, SubjectGraph};
@@ -24,18 +24,16 @@ use lily_par::ParOptions;
 use lily_place::anneal::{try_anneal, AnnealOptions};
 use lily_place::global::try_global_place;
 use lily_place::legalize::{improve, legalize, LegalizeOptions, Legalized};
-use lily_place::multilevel::{MultilevelOptions, MultilevelSystem};
+use lily_place::multilevel::MultilevelSystem;
 use lily_place::{assign_pads, AreaModel, PinRef, PlacementProblem, Point, Rect, SubjectPlacement};
 use lily_route::congestion::{deposit_rows, STRIPE_ROWS};
 use lily_route::{rsmt_length_with, BinBox, CongestionGrid, RsmtScratch};
 use lily_timing::load::WireLoad;
-use lily_timing::sta::{try_analyze, StaOptions, StaResult};
+use lily_timing::sta::{try_analyze, StaResult};
 use lily_timing::Arrival;
 
 /// Chip-area model shared by both pipelines.
 const AREA_MODEL: AreaModel = AreaModel::mcnc();
-/// Detailed-placement improvement passes.
-const IMPROVEMENT_PASSES: usize = 2;
 /// Congestion detour gain for the routed-length model.
 const DETOUR_GAIN: f64 = 0.3;
 /// Routing supply per µm² for the congestion grid.
@@ -162,7 +160,7 @@ impl PadPlan {
             && core.height().is_finite()
         {
             let seed = lily_place::pads::perimeter_points(core, problem.fixed.len());
-            let solved = MultilevelSystem::prepare(problem, &MultilevelOptions::for_region(core))
+            let solved = MultilevelSystem::prepare(problem, core)
                 .and_then(|prepared| system.insert(prepared).solve(&seed));
             match solved {
                 Ok(mp) => lily_place::assign_pads_with_interior(problem, core, &mp.positions),
@@ -408,41 +406,16 @@ impl<'a> ArtifactCodec<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)
 
 /// Technology mapping: subject graph (+ optional layout image) →
 /// mapped netlist. This stage owns the *only* mapper dispatch in the
-/// flow: both mappers hide behind the [`Mapper`] trait, and the lone
-/// `FlowMapper` match lives in [`Map::select`].
+/// flow: the one `FlowMapper` match in its `run`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Map;
 
 impl Map {
-    /// Instantiates the configured mapper. This is the single place
-    /// the flow branches on [`FlowMapper`].
-    pub fn select<'l>(lib: &'l Library, options: &FlowOptions) -> Box<dyn Mapper + 'l> {
-        match options.mapper {
-            FlowMapper::Mis => Box::new(
-                MisMapper::new(lib)
-                    .mode(options.mode)
-                    .partition(options.partition)
-                    .wire_cap_per_fanout(MIS_WIRE_CAP_PER_FANOUT),
-            ),
-            FlowMapper::Lily => Box::new(
-                LilyMapper::new(lib)
-                    .mode(options.mode)
-                    .partition(options.partition)
-                    .layout(options.layout),
-            ),
-            FlowMapper::Cut => Box::new(
-                CutMapper::new(lib)
-                    .mode(options.mode)
-                    .partition(options.partition)
-                    .layout(options.layout),
-            ),
-        }
-    }
-
     /// Whether the configured mapper consumes the pre-mapping layout
-    /// image (drivers use this to decide whether `SubjectPlace` runs).
-    pub fn wants_image(lib: &Library, options: &FlowOptions) -> bool {
-        Self::select(lib, options).needs_image()
+    /// image (drivers use this to decide whether `SubjectPlace` runs):
+    /// Lily and the cut mapper do, the wire-blind MIS baseline does not.
+    pub fn wants_image(_lib: &Library, options: &FlowOptions) -> bool {
+        options.mapper != FlowMapper::Mis
     }
 }
 
@@ -478,40 +451,42 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Ma
             );
             options.partition = Partition::Trees;
         }
-        let mapper = Self::select(lib, &options);
-        let constructive = options.constructive_placement && mapper.constructive();
+        let mis = MisMapper::new(lib)
+            .mode(options.mode)
+            .partition(options.partition)
+            .wire_cap_per_fanout(MIS_WIRE_CAP_PER_FANOUT);
         let matches = ctx.matches.clone();
-        let result = if mapper.needs_image() {
-            match image.and_then(|i| i.positions.as_deref()) {
-                Some(positions) => {
-                    let img = MapImage { positions, output_pads: plan.output_pads(g) };
-                    mapper.map_subject(g, Some(&img), &matches)?
-                }
-                None => {
-                    // First rung of the ladder: a degenerate layout
-                    // image or a diverged solve falls back to the
-                    // wire-blind MIS mapper.
-                    let detail = image
-                        .and_then(|i| i.failure.clone())
-                        .unwrap_or_else(|| "subject placement unavailable".to_string());
-                    ctx.degrade("lily-global-place", "mis-mapper", detail);
-                    MisMapper::new(lib)
-                        .mode(options.mode)
-                        .partition(options.partition)
-                        .wire_cap_per_fanout(MIS_WIRE_CAP_PER_FANOUT)
-                        .map_with(g, &matches)?
-                }
+        let positions = image.and_then(|i| i.positions.as_deref());
+        let result = match (options.mapper, positions) {
+            (FlowMapper::Mis, _) => mis.map_with(g, &matches)?,
+            (FlowMapper::Lily, Some(positions)) => LilyMapper::new(lib)
+                .mode(options.mode)
+                .partition(options.partition)
+                .layout(options.layout)
+                .map_with(g, positions, plan.output_pads(g), &matches)?,
+            (FlowMapper::Cut, Some(positions)) => CutMapper::new(lib)
+                .mode(options.mode)
+                .partition(options.partition)
+                .layout(options.layout)
+                .map(g, positions, plan.output_pads(g))?,
+            (FlowMapper::Lily | FlowMapper::Cut, None) => {
+                // First rung of the ladder: a degenerate layout image
+                // or a diverged solve falls back to the wire-blind MIS
+                // mapper.
+                let detail = image
+                    .and_then(|i| i.failure.clone())
+                    .unwrap_or_else(|| "subject placement unavailable".to_string());
+                ctx.degrade("lily-global-place", "mis-mapper", detail);
+                mis.map_with(g, &matches)?
             }
-        } else {
-            mapper.map_subject(g, None, &matches)?
         };
+        // Lily's and the cut mapper's cell positions are a constructive
+        // placement (the paper's `mapPositions`) worth carrying into
+        // detailed placement.
+        let constructive = options.constructive_placement && options.mapper != FlowMapper::Mis;
         let mut mapped = result.mapped;
         if let Some(limit) = options.fanout_limit {
-            crate::fanout::buffer_fanout(
-                &mut mapped,
-                lib,
-                &crate::fanout::FanoutOptions { max_fanout: limit, placement_aware: true },
-            );
+            crate::fanout::buffer_fanout(&mut mapped, lib, limit);
         }
         ctx.checkpoint("mapped", || lily_check::check_mapped(&mapped, lib))?;
         ctx.checkpoint("cover-equiv", || {
@@ -728,8 +703,7 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
         let legal = if widths.is_empty() {
             None
         } else {
-            let lopts =
-                LegalizeOptions { core, row_height: tech.row_height, passes: IMPROVEMENT_PASSES };
+            let lopts = LegalizeOptions { core, row_height: tech.row_height };
             let desired = match options.detailed_placer {
                 DetailedPlacer::Greedy => desired,
                 DetailedPlacer::Anneal { seed } => {
@@ -865,11 +839,7 @@ impl Stage<LegalPlacement> for DetailedPlace {
                     format!("{} cells exceed the improvement ceiling of {ceiling}", widths.len()),
                 );
             } else {
-                let lopts = LegalizeOptions {
-                    core,
-                    row_height: tech.row_height,
-                    passes: IMPROVEMENT_PASSES,
-                };
+                let lopts = LegalizeOptions { core, row_height: tech.row_height };
                 let better = improve(&legal, &widths, &problem.nets, &fixed, &lopts);
                 for (i, p) in better.positions.iter().enumerate() {
                     mapped.cells_mut()[i].position = (p.x, p.y);
@@ -1151,7 +1121,7 @@ impl<'a> Stage<&'a PlacedDesign> for Sta {
                 poison = false;
                 Err(lily_timing::TimingError::NonFinite { context: "injected sta poison" })
             } else {
-                try_analyze(mapped, lib, &StaOptions { wire_load, input_arrival: 0.0 })
+                try_analyze(mapped, lib, wire_load)
             };
             match attempt {
                 Ok(r) => {
@@ -1168,7 +1138,7 @@ impl<'a> Stage<&'a PlacedDesign> for Sta {
             }
         }
         let sta = sta?;
-        ctx.checkpoint("timing", || lily_check::check_timing(mapped, &sta, 0.0))?;
+        ctx.checkpoint("timing", || lily_check::check_timing(mapped, &sta))?;
         Ok(TimingArtifact { sta, cells: mapped.cell_count() })
     }
 }
@@ -1223,7 +1193,7 @@ fn place_globally(
     if problem.movable >= options.physical.multilevel_threshold {
         let system = match prepared {
             Some(system) => system,
-            None => MultilevelSystem::prepare(problem, &MultilevelOptions::for_region(region))?,
+            None => MultilevelSystem::prepare(problem, region)?,
         };
         system.solve(&problem.fixed).map(|mp| mp.positions)
     } else {

@@ -151,13 +151,6 @@ fn place_conversions_preserve_details() {
             MapError::DegenerateInput { stage: "placement", message: "zero rows".into() },
         ),
         (
-            P::InvalidOptions { message: "negative spacing".into() },
-            MapError::DegenerateInput {
-                stage: "placement options",
-                message: "negative spacing".into(),
-            },
-        ),
-        (
             P::Cancelled { context: "conjugate-gradient" },
             MapError::Cancelled { context: "conjugate-gradient" },
         ),

@@ -155,8 +155,8 @@ impl CancelToken {
 
 thread_local! {
     /// The ambient token for code that cannot take an explicit token
-    /// parameter (the match-enumeration loop behind the `Mapper`
-    /// trait). Installed per stage attempt by the flow engine.
+    /// parameter (the match-enumeration loop beneath the `map` stage).
+    /// Installed per stage attempt by the flow engine.
     static AMBIENT: RefCell<CancelToken> = RefCell::new(CancelToken::never());
 }
 

@@ -10,8 +10,8 @@
 //!   inverter *base functions*; the paper calls this the *inchoate
 //!   network*.
 //! * [`decompose`] — technology decomposition from [`Network`] to
-//!   [`SubjectGraph`], including the layout-driven fanin-ordering variant
-//!   motivated by Figure 1.1(b) of the paper.
+//!   [`SubjectGraph`], pairing fanins balanced, as a chain, or in a
+//!   seeded shuffle (the layout-oblivious order of Figure 1.1(b)).
 //! * [`cones`] — logic cones (per primary output) and maximal-tree
 //!   partitions, the two covering scopes used by MIS and DAGON, plus the
 //!   exit-line matrix and the cone-ordering heuristic of Section 3.5.
@@ -19,6 +19,7 @@
 //!   Section 2, used to build fanin rectangles during mapping.
 //! * [`blif`] — a reader/writer for a practical subset of BLIF.
 //! * [`sim`] — bit-parallel simulation and random equivalence checking.
+//! * [`hash`] — FNV-1a 64, the workspace's stable fingerprint hash.
 //!
 //! # Example
 //!
@@ -46,6 +47,7 @@ pub mod cuts;
 pub mod decompose;
 pub mod error;
 pub mod func;
+pub mod hash;
 pub mod lifecycle;
 pub mod network;
 pub mod sim;

@@ -20,12 +20,6 @@ use lily_netlist::sim::XorShift64;
 pub struct AnnealOptions {
     /// RNG seed.
     pub seed: u64,
-    /// Moves attempted per cell per temperature step.
-    pub moves_per_cell: usize,
-    /// Geometric cooling factor per step (0 < cooling < 1).
-    pub cooling: f64,
-    /// Temperature steps.
-    pub steps: usize,
     /// Region the cells must stay inside.
     pub core: Rect,
     /// Hard budget on attempted moves across the whole run (`None` for
@@ -37,11 +31,18 @@ pub struct AnnealOptions {
 }
 
 impl AnnealOptions {
-    /// A light default schedule for a given core.
+    /// The full schedule for a given core, seed 1.
     pub fn for_core(core: Rect) -> Self {
-        Self { seed: 1, moves_per_cell: 8, cooling: 0.85, steps: 24, core, max_moves: None }
+        Self { seed: 1, core, max_moves: None }
     }
 }
+
+/// Moves attempted per cell per temperature step.
+const MOVES_PER_CELL: usize = 8;
+/// Geometric cooling factor per temperature step.
+const COOLING: f64 = 0.85;
+/// Temperature steps in the schedule.
+const STEPS: usize = 24;
 
 /// Statistics from an annealing run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,8 +65,8 @@ pub struct AnnealStats {
 /// enough to stay invisible in profiles.
 const CANCEL_POLL_MOVES: u64 = 256;
 
-/// Fallible annealing refinement: validates options and input
-/// coordinates, then runs the schedule under the optional move budget.
+/// Fallible annealing refinement: validates the input coordinates, then
+/// runs the schedule under the optional move budget.
 ///
 /// Budget exhaustion is a *graceful* outcome, not an error: the best
 /// placement found before the budget ran out is kept and
@@ -79,7 +80,6 @@ const CANCEL_POLL_MOVES: u64 = 256;
 ///
 /// # Errors
 ///
-/// * [`PlaceError::InvalidOptions`] — `cooling` outside `(0, 1)`.
 /// * [`PlaceError::NonFinite`] — a position or fixed-pin coordinate is
 ///   NaN/∞.
 /// * [`PlaceError::Cancelled`] — the ambient token tripped
@@ -91,11 +91,6 @@ pub fn try_anneal(
     opts: &AnnealOptions,
 ) -> Result<AnnealStats, PlaceError> {
     let cancel = lily_fault::ambient_token();
-    if !(opts.cooling > 0.0 && opts.cooling < 1.0) {
-        return Err(PlaceError::InvalidOptions {
-            message: format!("cooling must be in (0, 1), got {}", opts.cooling),
-        });
-    }
     if !positions.iter().all(|p| p.x.is_finite() && p.y.is_finite()) {
         return Err(PlaceError::NonFinite { context: "anneal positions" });
     }
@@ -172,8 +167,8 @@ pub fn try_anneal(
     let mut budget_exhausted = false;
     let mut best_positions = positions.to_vec();
     let mut best_cost = initial_hpwl;
-    'schedule: for _ in 0..opts.steps {
-        for _ in 0..opts.moves_per_cell * n {
+    'schedule: for _ in 0..STEPS {
+        for _ in 0..MOVES_PER_CELL * n {
             if let Some(budget) = opts.max_moves {
                 if attempted >= budget {
                     budget_exhausted = true;
@@ -216,7 +211,7 @@ pub fn try_anneal(
                 }
             }
         }
-        temp *= opts.cooling;
+        temp *= COOLING;
         window = (window * 0.9).max(opts.core.width() / 50.0);
         // Keep the best placement seen at each temperature step.
         let cost = total(positions);
@@ -313,18 +308,6 @@ mod tests {
         let mut one = vec![Point::new(5.0, 5.0)];
         let stats = anneal(&mut one, &[], &[], &AnnealOptions::for_core(core));
         assert_eq!(stats.acceptance, 0.0);
-    }
-
-    #[test]
-    fn bad_cooling_is_a_typed_error() {
-        let core = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let mut p = vec![Point::default(); 2];
-        let opts = AnnealOptions { cooling: 1.5, ..AnnealOptions::for_core(core) };
-        let got = try_anneal(&mut p, &[], &[], &opts);
-        match got {
-            Err(PlaceError::InvalidOptions { message }) => assert!(message.contains("cooling")),
-            other => panic!("expected InvalidOptions, got {other:?}"),
-        }
     }
 
     #[test]

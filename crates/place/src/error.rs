@@ -17,12 +17,6 @@ pub enum PlaceError {
         /// Human-readable description.
         message: String,
     },
-    /// An option value is outside its documented domain (e.g. an
-    /// annealing cooling factor outside `(0, 1)`).
-    InvalidOptions {
-        /// Human-readable description.
-        message: String,
-    },
     /// An iterative solver failed to converge within its iteration
     /// budget, or its residual became non-finite.
     SolverDiverged {
@@ -63,9 +57,6 @@ impl fmt::Display for PlaceError {
             PlaceError::InvalidProblem { message } => {
                 write!(f, "invalid placement problem: {message}")
             }
-            PlaceError::InvalidOptions { message } => {
-                write!(f, "invalid placement options: {message}")
-            }
             PlaceError::SolverDiverged { solver, iterations, residual } => {
                 write!(f, "{solver} diverged after {iterations} iterations (residual {residual})")
             }
@@ -92,7 +83,6 @@ mod tests {
     fn display_variants() {
         let errs = [
             PlaceError::InvalidProblem { message: "net 0 too small".into() },
-            PlaceError::InvalidOptions { message: "cooling 1.5".into() },
             PlaceError::SolverDiverged {
                 solver: "conjugate-gradient",
                 iterations: 12,

@@ -16,9 +16,10 @@ pub struct LegalizeOptions {
     pub core: Rect,
     /// Standard-cell row height (µm).
     pub row_height: f64,
-    /// Greedy improvement passes over all rows (0 disables).
-    pub passes: usize,
 }
+
+/// Rounds of median relocation and adjacent swaps in [`improve`].
+const IMPROVEMENT_PASSES: usize = 2;
 
 /// A legalized placement.
 #[derive(Debug, Clone)]
@@ -160,9 +161,9 @@ pub fn hpwl(nets: &[Vec<PinRef>], positions: &[Point], fixed: &[Point]) -> f64 {
 /// re-legalizes; each swap pass exchanges adjacent same-row cells when
 /// that lowers the HPWL of their nets. The loop keeps the best
 /// placement seen and stops when a full round yields no improvement or
-/// after `opts.passes` rounds. This stands in for the annealing-based
-/// detailed placers of the paper's era and, importantly, converges to
-/// similar quality from different starting placements (low noise).
+/// after two rounds. This stands in for the annealing-based detailed
+/// placers of the paper's era and, importantly, converges to similar
+/// quality from different starting placements (low noise).
 pub fn improve(
     legal: &Legalized,
     widths: &[f64],
@@ -182,7 +183,7 @@ pub fn improve(
         }
     }
 
-    for _ in 0..opts.passes.max(1) {
+    for _ in 0..IMPROVEMENT_PASSES {
         // Median relocation: optimal per-cell location given the rest.
         let mut desired = best.positions.clone();
         for cell in 0..widths.len() {
@@ -286,7 +287,7 @@ mod tests {
     use super::*;
 
     fn opts() -> LegalizeOptions {
-        LegalizeOptions { core: Rect::new(0.0, 0.0, 100.0, 40.0), row_height: 10.0, passes: 4 }
+        LegalizeOptions { core: Rect::new(0.0, 0.0, 100.0, 40.0), row_height: 10.0 }
     }
 
     #[test]
@@ -334,8 +335,7 @@ mod tests {
         // tied to a pad on the right, cell 1 to a pad on the left.
         let widths = vec![10.0, 10.0];
         let desired = vec![Point::new(10.0, 5.0), Point::new(20.0, 5.0)];
-        let o =
-            LegalizeOptions { core: Rect::new(0.0, 0.0, 100.0, 10.0), row_height: 10.0, passes: 3 };
+        let o = LegalizeOptions { core: Rect::new(0.0, 0.0, 100.0, 10.0), row_height: 10.0 };
         let legal = legalize(&widths, &desired, &o);
         let fixed = vec![Point::new(100.0, 5.0), Point::new(0.0, 5.0)];
         let nets = vec![
@@ -352,8 +352,7 @@ mod tests {
     fn single_row_core() {
         let widths = vec![4.0; 3];
         let desired = vec![Point::new(1.0, 1.0), Point::new(2.0, 1.0), Point::new(3.0, 1.0)];
-        let o =
-            LegalizeOptions { core: Rect::new(0.0, 0.0, 50.0, 8.0), row_height: 10.0, passes: 0 };
+        let o = LegalizeOptions { core: Rect::new(0.0, 0.0, 50.0, 8.0), row_height: 10.0 };
         let legal = legalize(&widths, &desired, &o);
         assert_eq!(legal.rows.len(), 1);
         assert_eq!(legal.rows[0].len(), 3);

@@ -46,8 +46,7 @@ pub use error::PlaceError;
 pub use geom::{Point, Rect};
 pub use global::try_global_place;
 pub use multilevel::{
-    try_multilevel_place, ClusterHierarchy, ClusterLevel, MultilevelOptions, MultilevelPlacement,
-    MultilevelSystem,
+    try_multilevel_place, ClusterHierarchy, ClusterLevel, MultilevelPlacement, MultilevelSystem,
 };
 pub use pads::{assign_pads, assign_pads_with_interior};
 pub use problem::SubjectPlacement;

@@ -40,51 +40,28 @@ use crate::sparse::{cg_solve_under, CsrMatrix};
 use lily_fault::CancelToken;
 use lily_par::ParOptions;
 
-/// Options for [`try_multilevel_place`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultilevelOptions {
-    /// The layout image (core region) to place into.
-    pub region: Rect,
-    /// Stop coarsening once a level has at most this many clusters; the
-    /// flat partitioning placer runs there.
-    pub coarse_target: usize,
-    /// Hard cap on coarsening levels (clustering at least halves the
-    /// module count per level, so this is never reached in practice).
-    pub max_levels: usize,
-    /// Conjugate-gradient iterations per axis spent refining the level
-    /// just below the coarsest solve; each finer level gets half the
-    /// previous level's budget, floored at [`Self::refine_iters_floor`].
-    /// Fine levels start from an interpolated warm start and only need
-    /// smoothing, while per-iteration cost doubles level to level — the
-    /// decaying schedule keeps total refinement work `O(n)` instead of
-    /// `O(n · refine_iters)`.
-    pub refine_iters: usize,
-    /// Lower bound on the per-level refinement budget (clamped to
-    /// `refine_iters` when set higher).
-    pub refine_iters_floor: usize,
-    /// Spring weight anchoring each module to its interpolated position
-    /// during refinement (keeps the coarse level's spreading).
-    pub refine_anchor_weight: f64,
-    /// Nets with more pins than this are ignored when scoring matches —
-    /// a huge net says almost nothing about which two of its pins
-    /// belong together, and its clique expansion is quadratic.
-    pub match_net_cap: usize,
-}
-
-impl MultilevelOptions {
-    /// Reasonable defaults for a given core region.
-    pub fn for_region(region: Rect) -> Self {
-        Self {
-            region,
-            coarse_target: 192,
-            max_levels: 24,
-            refine_iters: 48,
-            refine_iters_floor: 8,
-            refine_anchor_weight: 0.05,
-            match_net_cap: 32,
-        }
-    }
-}
+/// Stop coarsening once a level has at most this many clusters; the
+/// flat partitioning placer runs there.
+const COARSE_TARGET: usize = 192;
+/// Hard cap on coarsening levels (clustering at least halves the module
+/// count per level, so this is never reached in practice).
+const MAX_LEVELS: usize = 24;
+/// Conjugate-gradient iterations per axis spent refining the level just
+/// below the coarsest solve; each finer level gets half the previous
+/// level's budget, floored at [`REFINE_ITERS_FLOOR`]. Fine levels start
+/// from an interpolated warm start and only need smoothing, while
+/// per-iteration cost doubles level to level — the decaying schedule
+/// keeps total refinement work `O(n)` instead of `O(n · REFINE_ITERS)`.
+const REFINE_ITERS: usize = 48;
+/// Lower bound on the per-level refinement budget.
+const REFINE_ITERS_FLOOR: usize = 8;
+/// Spring weight anchoring each module to its interpolated position
+/// during refinement (keeps the coarse level's spreading).
+const REFINE_ANCHOR_WEIGHT: f64 = 0.05;
+/// Nets with more pins than this are ignored when scoring matches — a
+/// huge net says almost nothing about which two of its pins belong
+/// together, and its clique expansion is quadratic.
+const MATCH_NET_CAP: usize = 32;
 
 /// One coarsening step: how the modules of a finer level map onto the
 /// clusters of the next-coarser level.
@@ -136,8 +113,6 @@ pub struct MultilevelPlacement {
 /// # Errors
 ///
 /// * [`PlaceError::InvalidProblem`] — the problem fails validation.
-/// * [`PlaceError::InvalidOptions`] — a zero `coarse_target` or
-///   `refine_iters`, or a non-finite anchor weight.
 /// * [`PlaceError::NonFinite`] — the core region, a pad coordinate, or
 ///   a refined position is NaN/∞.
 /// * [`PlaceError::SolverDiverged`] — the coarsest-level solve diverged.
@@ -146,9 +121,9 @@ pub struct MultilevelPlacement {
 ///   refinement level and once per CG iteration).
 pub fn try_multilevel_place(
     problem: &PlacementProblem,
-    opts: &MultilevelOptions,
+    region: Rect,
 ) -> Result<MultilevelPlacement, PlaceError> {
-    MultilevelSystem::prepare(problem, opts)?.solve(&problem.fixed)
+    MultilevelSystem::prepare(problem, region)?.solve(&problem.fixed)
 }
 
 /// The pad-independent half of a multilevel placement: the cluster
@@ -160,7 +135,7 @@ pub fn try_multilevel_place(
 /// and places the subject graph with another).
 #[derive(Debug)]
 pub struct MultilevelSystem {
-    opts: MultilevelOptions,
+    region: Rect,
     n_pads: usize,
     hierarchy: ClusterHierarchy,
     /// The problem the flat placer solves; its pads are placeholders,
@@ -337,36 +312,20 @@ fn merge(row: &mut Vec<(usize, f64)>, slot_of: &mut [usize], c: usize, v: f64) {
 }
 
 impl MultilevelSystem {
-    /// Validates `problem` and `opts`, coarsens the problem into a
+    /// Validates `problem` and `region`, coarsens the problem into a
     /// cluster hierarchy, and assembles every refinement level. The
     /// problem's pad positions are not read.
     ///
     /// # Errors
     ///
     /// * [`PlaceError::InvalidProblem`] — the problem fails validation.
-    /// * [`PlaceError::InvalidOptions`] — a zero `coarse_target` or
-    ///   `refine_iters`, or a non-finite anchor weight.
     /// * [`PlaceError::NonFinite`] — the core region is NaN/∞.
     /// * [`PlaceError::Cancelled`] — the calling thread's ambient
     ///   cancellation token tripped mid-coarsening.
-    pub fn prepare(
-        problem: &PlacementProblem,
-        opts: &MultilevelOptions,
-    ) -> Result<Self, PlaceError> {
+    pub fn prepare(problem: &PlacementProblem, region: Rect) -> Result<Self, PlaceError> {
         let cancel = lily_fault::ambient_token();
         problem.validate()?;
-        if opts.coarse_target == 0 || opts.refine_iters == 0 || opts.refine_iters_floor == 0 {
-            return Err(PlaceError::InvalidOptions {
-                message: "coarse_target, refine_iters, and refine_iters_floor must be positive"
-                    .into(),
-            });
-        }
-        if !opts.refine_anchor_weight.is_finite() || opts.refine_anchor_weight < 0.0 {
-            return Err(PlaceError::InvalidOptions {
-                message: format!("refine_anchor_weight {} not finite", opts.refine_anchor_weight),
-            });
-        }
-        let r = opts.region;
+        let r = region;
         if ![r.llx, r.lly, r.urx, r.ury].iter().all(|v| v.is_finite()) {
             return Err(PlaceError::NonFinite { context: "core region" });
         }
@@ -377,13 +336,13 @@ impl MultilevelSystem {
         let mut coarse: Vec<PlacementProblem> = Vec::new();
         loop {
             let cur: &PlacementProblem = coarse.last().unwrap_or(problem);
-            if cur.movable <= opts.coarse_target || hierarchy.levels.len() >= opts.max_levels {
+            if cur.movable <= COARSE_TARGET || hierarchy.levels.len() >= MAX_LEVELS {
                 break;
             }
             if cancel.is_cancelled() {
                 return Err(PlaceError::Cancelled { context: "multilevel-coarsen" });
             }
-            let level = match_level(cur, opts.match_net_cap);
+            let level = match_level(cur, MATCH_NET_CAP);
             // Matching that barely shrinks the graph (pathologically
             // sparse connectivity) would loop forever; stop and solve
             // what we have.
@@ -404,9 +363,9 @@ impl MultilevelSystem {
             std::iter::once(problem).chain(&coarse).collect()
         };
         let levels = lily_par::par_map(&ParOptions::current(), &fines, |fine| {
-            LevelSystem::assemble(fine, opts.refine_anchor_weight)
+            LevelSystem::assemble(fine, REFINE_ANCHOR_WEIGHT)
         });
-        Ok(Self { opts: *opts, n_pads: problem.fixed.len(), hierarchy, coarsest, levels })
+        Ok(Self { region, n_pads: problem.fixed.len(), hierarchy, coarsest, levels })
     }
 
     /// Places the prepared problem against `pads`: the flat
@@ -440,7 +399,7 @@ impl MultilevelSystem {
         if !pads.iter().all(|p| p.x.is_finite() && p.y.is_finite()) {
             return Err(PlaceError::NonFinite { context: "pad coordinates" });
         }
-        let r = self.opts.region;
+        let r = self.region;
 
         // Solve the coarsest level with the flat partitioning placer.
         let coarsest = PlacementProblem { fixed: pads.to_vec(), ..self.coarsest.clone() };
@@ -456,19 +415,18 @@ impl MultilevelSystem {
         // and an iteration at the finest level costs as much as the
         // whole rest of the hierarchy.
         let centroid = pad_centroid(pads);
-        let floor = self.opts.refine_iters_floor.min(self.opts.refine_iters);
         for (k, level) in self.hierarchy.levels.iter().enumerate().rev() {
             if cancel.is_cancelled() {
                 return Err(PlaceError::Cancelled { context: "multilevel-refine" });
             }
             let interpolated: Vec<Point> = level.parent.iter().map(|&c| positions[c]).collect();
             let depth = self.hierarchy.levels.len() - 1 - k;
-            let iters = (self.opts.refine_iters >> depth).max(floor);
+            let iters = (REFINE_ITERS >> depth).max(REFINE_ITERS_FLOOR);
             let (refined, spent) = self.levels[k].refine(
                 pads,
                 centroid,
                 &interpolated,
-                self.opts.refine_anchor_weight,
+                REFINE_ANCHOR_WEIGHT,
                 iters,
                 &cancel,
             )?;
@@ -677,12 +635,11 @@ mod tests {
     #[test]
     fn multilevel_places_inside_core_with_real_coarsening() {
         let core = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-        let p = grid_problem(24, core); // 576 modules > coarse_target
-        let opts = MultilevelOptions::for_region(core);
-        let m = try_multilevel_place(&p, &opts).expect("multilevel");
+        let p = grid_problem(24, core); // 576 modules > COARSE_TARGET
+        let m = try_multilevel_place(&p, core).expect("multilevel");
         assert_eq!(m.positions.len(), p.movable);
         assert!(!m.hierarchy.levels.is_empty(), "expected at least one coarsening level");
-        assert!(m.hierarchy.coarsest_len(p.movable) <= opts.coarse_target * 2);
+        assert!(m.hierarchy.coarsest_len(p.movable) <= COARSE_TARGET * 2);
         assert_hierarchy_well_formed(&m.hierarchy, p.movable);
         for pt in &m.positions {
             assert!(core.contains(*pt), "{pt:?} outside core");
@@ -700,9 +657,8 @@ mod tests {
     fn multilevel_is_deterministic() {
         let core = Rect::new(0.0, 0.0, 500.0, 500.0);
         let p = grid_problem(20, core);
-        let opts = MultilevelOptions::for_region(core);
-        let a = try_multilevel_place(&p, &opts).expect("first run");
-        let b = try_multilevel_place(&p, &opts).expect("second run");
+        let a = try_multilevel_place(&p, core).expect("first run");
+        let b = try_multilevel_place(&p, core).expect("second run");
         assert_eq!(a.hierarchy, b.hierarchy);
         assert_eq!(a.cg_iterations, b.cg_iterations);
         for (x, y) in a.positions.iter().zip(&b.positions) {
@@ -714,8 +670,8 @@ mod tests {
     #[test]
     fn small_problems_skip_coarsening() {
         let core = Rect::new(0.0, 0.0, 100.0, 100.0);
-        let p = grid_problem(4, core); // 16 modules <= coarse_target
-        let m = try_multilevel_place(&p, &MultilevelOptions::for_region(core)).expect("small");
+        let p = grid_problem(4, core); // 16 modules <= COARSE_TARGET
+        let m = try_multilevel_place(&p, core).expect("small");
         assert!(m.hierarchy.levels.is_empty());
         assert_eq!(m.level_positions.len(), 1);
         for pt in &m.positions {
@@ -726,26 +682,9 @@ mod tests {
     #[test]
     fn empty_problem() {
         let core = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let m = try_multilevel_place(
-            &PlacementProblem::default(),
-            &MultilevelOptions::for_region(core),
-        )
-        .expect("empty");
+        let m = try_multilevel_place(&PlacementProblem::default(), core).expect("empty");
         assert!(m.positions.is_empty());
         assert!(m.hierarchy.levels.is_empty());
-    }
-
-    #[test]
-    fn invalid_options_are_rejected() {
-        let core = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let p = grid_problem(4, core);
-        let bad = MultilevelOptions { coarse_target: 0, ..MultilevelOptions::for_region(core) };
-        assert!(matches!(try_multilevel_place(&p, &bad), Err(PlaceError::InvalidOptions { .. })));
-        let bad = MultilevelOptions {
-            refine_anchor_weight: f64::NAN,
-            ..MultilevelOptions::for_region(core)
-        };
-        assert!(matches!(try_multilevel_place(&p, &bad), Err(PlaceError::InvalidOptions { .. })));
     }
 
     #[test]
@@ -755,7 +694,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let _scope = lily_fault::set_ambient(token);
-        let got = try_multilevel_place(&p, &MultilevelOptions::for_region(core));
+        let got = try_multilevel_place(&p, core);
         assert!(matches!(got, Err(PlaceError::Cancelled { .. })), "{got:?}");
     }
 
@@ -763,13 +702,12 @@ mod tests {
     fn one_prepared_system_solves_any_pads_like_a_fresh_placement() {
         let core = Rect::new(0.0, 0.0, 800.0, 800.0);
         let p = grid_problem(24, core);
-        let opts = MultilevelOptions::for_region(core);
-        let system = MultilevelSystem::prepare(&p, &opts).expect("prepare");
+        let system = MultilevelSystem::prepare(&p, core).expect("prepare");
         let mut rotated = p.fixed.clone();
         rotated.rotate_left(1);
         for pads in [p.fixed.clone(), rotated] {
             let fresh = PlacementProblem { fixed: pads.clone(), ..p.clone() };
-            let want = try_multilevel_place(&fresh, &opts).expect("fresh");
+            let want = try_multilevel_place(&fresh, core).expect("fresh");
             let got = system.solve(&pads).expect("prepared");
             assert!(!got.hierarchy.levels.is_empty());
             assert_eq!(got.hierarchy, want.hierarchy);

@@ -24,12 +24,7 @@ fn anneal_never_returns_a_worse_placement() {
         // A ring of 2-pin nets.
         let nets: Vec<Vec<PinRef>> =
             (0..n).map(|i| vec![PinRef::Movable(i), PinRef::Movable((i + 1) % n)]).collect();
-        let opts = AnnealOptions {
-            seed: rng.next_u64(),
-            steps: 6,
-            moves_per_cell: 4,
-            ..AnnealOptions::for_core(core)
-        };
+        let opts = AnnealOptions { seed: rng.next_u64(), ..AnnealOptions::for_core(core) };
         let stats = try_anneal(&mut p, &nets, &[], &opts).expect("annealing failed");
         assert!(stats.final_hpwl <= stats.initial_hpwl + 1e-9);
         for pt in &p {
@@ -72,8 +67,7 @@ fn legalization_is_complete_and_in_core() {
         let n = desired.len();
         let widths = vec![rng.gen_range_f64(12.0, 48.0); n];
         let core = Rect::new(0.0, 0.0, 3000.0, 600.0);
-        let legal =
-            legalize(&widths, &desired, &LegalizeOptions { core, row_height: 100.0, passes: 0 });
+        let legal = legalize(&widths, &desired, &LegalizeOptions { core, row_height: 100.0 });
         let assigned: usize = legal.rows.iter().map(Vec::len).sum();
         assert_eq!(assigned, n);
         for (r, cells) in legal.rows.iter().enumerate() {

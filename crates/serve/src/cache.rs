@@ -12,34 +12,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use lily_cells::Library;
+use lily_netlist::hash::Fnv1a;
 
 /// FNV-1a over the observable shape of a built library: name, then
 /// per gate its name, fanin, function bits, area bits, and pattern
 /// count. Stable across processes for identical libraries.
 #[must_use]
 pub fn library_fingerprint(lib: &Library) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = BASIS;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(lib.name().as_bytes());
+    let mut h = Fnv1a::default();
+    h.bytes(lib.name().as_bytes());
     for g in lib.gates() {
-        eat(b"\x00");
-        eat(g.name().as_bytes());
-        eat(&(g.fanin() as u64).to_le_bytes());
-        eat(&g.function().bits().to_le_bytes());
-        eat(&g.area().to_bits().to_le_bytes());
-        eat(&(g.patterns().len() as u64).to_le_bytes());
+        h.bytes(b"\x00");
+        h.bytes(g.name().as_bytes());
+        h.bytes(&(g.fanin() as u64).to_le_bytes());
+        h.bytes(&g.function().bits().to_le_bytes());
+        h.bytes(&g.area().to_bits().to_le_bytes());
+        h.bytes(&(g.patterns().len() as u64).to_le_bytes());
     }
     // The cut mapper matches through the NPN index, so its identity is
     // part of the library's observable shape: fold it in.
-    eat(&lib.npn().fingerprint().to_le_bytes());
-    h
+    h.bytes(&lib.npn().fingerprint().to_le_bytes());
+    h.finish()
 }
 
 /// One cached library.

@@ -38,6 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use lily_core::json::{Json, JsonObject, ParseLimits};
+use lily_netlist::hash::fnv1a;
 
 /// File name of the journal inside `--journal-dir`.
 pub const JOURNAL_FILE: &str = "journal.log";
@@ -48,16 +49,6 @@ pub const MAX_RECORD_BYTES: usize = 64 << 20;
 
 /// Bytes of header preceding every payload: u32 length + u64 FNV-1a.
 const HEADER_BYTES: usize = 12;
-
-/// FNV-1a 64 over a record payload.
-fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One durable journal entry. `seq` is the daemon-assigned job
 /// sequence number — monotone across restarts, never the client's
@@ -245,7 +236,7 @@ fn scan(bytes: &[u8]) -> (Replay, usize) {
             break;
         }
         let payload = &bytes[pos + HEADER_BYTES..pos + HEADER_BYTES + len];
-        if fingerprint(payload) != fp {
+        if fnv1a(payload) != fp {
             replay.torn = 1;
             break;
         }
@@ -335,7 +326,7 @@ impl Journal {
             io::Error::new(io::ErrorKind::InvalidInput, "journal record exceeds u32 length")
         })?;
         frame.extend_from_slice(&len.to_be_bytes());
-        frame.extend_from_slice(&fingerprint(payload).to_be_bytes());
+        frame.extend_from_slice(&fnv1a(payload).to_be_bytes());
         frame.extend_from_slice(&payload[..keep.unwrap_or(payload.len())]);
         let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         file.write_all(&frame)?;
@@ -485,7 +476,7 @@ mod tests {
         let payload = br#"{"record":"vacuumed","seq":3}"#;
         let mut frame = Vec::new();
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&fingerprint(payload).to_be_bytes());
+        frame.extend_from_slice(&fnv1a(payload).to_be_bytes());
         frame.extend_from_slice(payload);
         {
             let mut file = journal.file.lock().expect("lock");

@@ -26,4 +26,4 @@ pub use arrival::{block_arrival, ld_arrival, propagate, Arrival, Unateness};
 pub use error::TimingError;
 pub use load::{net_wire_cap, output_load, WireLoad};
 pub use report::{critical_path_report, slack_summary};
-pub use sta::{try_analyze, StaOptions, StaResult};
+pub use sta::{try_analyze, StaResult};

@@ -109,10 +109,10 @@ pub fn validate(sta: &StaResult) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::load::WireLoad;
-    use crate::sta::{try_analyze, StaOptions, StaResult};
+    use crate::sta::{try_analyze, StaResult};
 
-    fn analyze(m: &MappedNetwork, lib: &Library, opts: &StaOptions) -> StaResult {
-        try_analyze(m, lib, opts).expect("static timing analysis failed")
+    fn analyze(m: &MappedNetwork, lib: &Library, wire_load: WireLoad) -> StaResult {
+        try_analyze(m, lib, wire_load).expect("static timing analysis failed")
     }
     use lily_cells::{MappedCell, SignalSource as S};
 
@@ -136,7 +136,7 @@ mod tests {
     fn report_lists_every_stage() {
         let lib = Library::tiny();
         let m = chain(&lib, 5);
-        let sta = analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 });
+        let sta = analyze(&m, &lib, WireLoad::None);
         let rep = critical_path_report(&m, &lib, &sta);
         assert!(rep.contains("critical path to output `y`"));
         assert_eq!(rep.matches("inv").count(), 5, "{rep}");
@@ -146,7 +146,7 @@ mod tests {
     fn slack_summary_counts_critical_cells() {
         let lib = Library::tiny();
         let m = chain(&lib, 4);
-        let sta = analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 });
+        let sta = analyze(&m, &lib, WireLoad::None);
         let s = slack_summary(&m, &sta);
         // A pure chain: every cell is critical.
         assert!(s.contains("4 critical"), "{s}");
@@ -156,7 +156,7 @@ mod tests {
     fn validate_accepts_real_results() {
         let lib = Library::tiny();
         let m = chain(&lib, 6);
-        let sta = analyze(&m, &lib, &StaOptions::default());
+        let sta = analyze(&m, &lib, WireLoad::FromPlacement);
         assert!(validate(&sta).is_empty());
     }
 
@@ -164,7 +164,7 @@ mod tests {
     fn validate_flags_corrupted_results() {
         let lib = Library::tiny();
         let m = chain(&lib, 3);
-        let mut sta = analyze(&m, &lib, &StaOptions::default());
+        let mut sta = analyze(&m, &lib, WireLoad::FromPlacement);
         sta.critical_delay = -1.0;
         let problems = validate(&sta);
         assert!(problems.iter().any(|p| p.contains("negative")));

@@ -9,21 +9,6 @@ use crate::error::TimingError;
 use crate::load::{output_load, WireLoad};
 use lily_cells::{CellId, Library, MappedNetwork, SignalSource};
 
-/// Options for [`try_analyze`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaOptions {
-    /// Wiring-capacitance model for output loads.
-    pub wire_load: WireLoad,
-    /// Arrival time at every primary input (ns).
-    pub input_arrival: f64,
-}
-
-impl Default for StaOptions {
-    fn default() -> Self {
-        Self { wire_load: WireLoad::FromPlacement, input_arrival: 0.0 }
-    }
-}
-
 /// The result of an STA run.
 #[derive(Debug, Clone)]
 pub struct StaResult {
@@ -43,8 +28,9 @@ pub struct StaResult {
     pub cell_slack: Vec<f64>,
 }
 
-/// Runs static timing analysis, reporting upstream defects as structured
-/// errors instead of panicking.
+/// Runs static timing analysis with every primary input arriving at
+/// time 0 and output loads under `wire_load`, reporting upstream
+/// defects as structured errors instead of panicking.
 ///
 /// # Errors
 ///
@@ -56,7 +42,7 @@ pub struct StaResult {
 pub fn try_analyze(
     mapped: &MappedNetwork,
     lib: &Library,
-    opts: &StaOptions,
+    wire_load: WireLoad,
 ) -> Result<StaResult, TimingError> {
     mapped.validate(lib).map_err(|e| TimingError::InvalidNetwork { message: e.to_string() })?;
     let n = mapped.cell_count();
@@ -66,7 +52,7 @@ pub fn try_analyze(
     let mut load_of_cell = vec![0.0f64; n];
     for net in &nets {
         if let SignalSource::Cell(c) = net.source {
-            let load = output_load(opts.wire_load, lib, mapped, net);
+            let load = output_load(wire_load, lib, mapped, net);
             if !load.is_finite() {
                 return Err(TimingError::NonFinite { context: "output load" });
             }
@@ -77,7 +63,6 @@ pub fn try_analyze(
     let order = mapped.try_topo_order().map_err(|c| TimingError::Cyclic { cell: c.index() })?;
     let mut cell_arrival = vec![Arrival::ZERO; n];
     let mut worst_pin = vec![usize::MAX; n];
-    let pi_arrival = Arrival::new(opts.input_arrival, opts.input_arrival);
 
     for &c in &order {
         let cell = mapped.cell(c);
@@ -86,7 +71,7 @@ pub fn try_analyze(
         let mut best_pin = 0usize;
         for (pi, (&src, pin)) in cell.fanins.iter().zip(gate.pins()).enumerate() {
             let input = match src {
-                SignalSource::Input(_) => pi_arrival,
+                SignalSource::Input(_) => Arrival::ZERO,
                 SignalSource::Cell(fc) => cell_arrival[fc.index()],
             };
             let u = gate.unateness(pi);
@@ -104,7 +89,7 @@ pub fn try_analyze(
         .outputs
         .iter()
         .map(|(_, s)| match *s {
-            SignalSource::Input(_) => pi_arrival,
+            SignalSource::Input(_) => Arrival::ZERO,
             SignalSource::Cell(c) => cell_arrival[c.index()],
         })
         .collect();
@@ -180,8 +165,8 @@ mod tests {
     use super::*;
     use lily_cells::MappedCell;
 
-    fn analyze(m: &MappedNetwork, lib: &Library, opts: &StaOptions) -> StaResult {
-        try_analyze(m, lib, opts).expect("static timing analysis failed")
+    fn analyze(m: &MappedNetwork, lib: &Library, wire_load: WireLoad) -> StaResult {
+        try_analyze(m, lib, wire_load).expect("static timing analysis failed")
     }
 
     /// A chain of `n` inverters from input to output.
@@ -206,10 +191,9 @@ mod tests {
     #[test]
     fn chain_delay_grows_linearly() {
         let lib = Library::tiny();
-        let opts = StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 };
-        let d2 = analyze(&inverter_chain(&lib, 2, 10.0), &lib, &opts).critical_delay;
-        let d4 = analyze(&inverter_chain(&lib, 4, 10.0), &lib, &opts).critical_delay;
-        let d8 = analyze(&inverter_chain(&lib, 8, 10.0), &lib, &opts).critical_delay;
+        let d2 = analyze(&inverter_chain(&lib, 2, 10.0), &lib, WireLoad::None).critical_delay;
+        let d4 = analyze(&inverter_chain(&lib, 4, 10.0), &lib, WireLoad::None).critical_delay;
+        let d8 = analyze(&inverter_chain(&lib, 8, 10.0), &lib, WireLoad::None).critical_delay;
         assert!(d4 > d2 && d8 > d4);
         // Per-stage delay constant: differences equal.
         assert!(((d4 - d2) - (d8 - d4) / 2.0).abs() < 1e-9);
@@ -220,11 +204,11 @@ mod tests {
         let lib = Library::tiny();
         let short = inverter_chain(&lib, 3, 10.0);
         let long = inverter_chain(&lib, 3, 2000.0);
-        let no_wire = StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 };
-        let with_wire = StaOptions { wire_load: WireLoad::FromPlacement, input_arrival: 0.0 };
-        let base = analyze(&short, &lib, &no_wire).critical_delay;
-        let near = analyze(&short, &lib, &with_wire).critical_delay;
-        let far = analyze(&long, &lib, &with_wire).critical_delay;
+        let no_wire = WireLoad::None;
+        let with_wire = WireLoad::FromPlacement;
+        let base = analyze(&short, &lib, no_wire).critical_delay;
+        let near = analyze(&short, &lib, with_wire).critical_delay;
+        let far = analyze(&long, &lib, with_wire).critical_delay;
         assert!(near > base);
         assert!(far > near, "longer wires must be slower: {far} !> {near}");
     }
@@ -233,7 +217,7 @@ mod tests {
     fn critical_path_is_the_chain() {
         let lib = Library::tiny();
         let m = inverter_chain(&lib, 5, 10.0);
-        let r = analyze(&m, &lib, &StaOptions::default());
+        let r = analyze(&m, &lib, WireLoad::FromPlacement);
         assert_eq!(r.critical_path.len(), 5);
         for (i, c) in r.critical_path.iter().enumerate() {
             assert_eq!(c.index(), i);
@@ -245,7 +229,7 @@ mod tests {
     fn critical_cells_have_zero_slack() {
         let lib = Library::tiny();
         let m = inverter_chain(&lib, 4, 10.0);
-        let r = analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 });
+        let r = analyze(&m, &lib, WireLoad::None);
         for c in &r.critical_path {
             assert!(r.cell_slack[c.index()].abs() < 1e-9, "slack {}", r.cell_slack[c.index()]);
         }
@@ -276,19 +260,10 @@ mod tests {
         });
         m.add_output("y", SignalSource::Cell(g));
         m.output_positions[0] = (40.0, 5.0);
-        let r = analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 });
+        let r = analyze(&m, &lib, WireLoad::None);
         // The critical path must route through the inverters.
         assert_eq!(r.critical_path.len(), 3);
         assert_eq!(r.critical_path[0], i1);
         assert_eq!(r.critical_path[2], g);
-    }
-
-    #[test]
-    fn input_arrival_offsets_everything() {
-        let lib = Library::tiny();
-        let m = inverter_chain(&lib, 3, 10.0);
-        let base = analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 0.0 });
-        let late = analyze(&m, &lib, &StaOptions { wire_load: WireLoad::None, input_arrival: 2.5 });
-        assert!((late.critical_delay - base.critical_delay - 2.5).abs() < 1e-9);
     }
 }

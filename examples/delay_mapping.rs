@@ -7,7 +7,7 @@
 
 use lily::prelude::*;
 use lily::timing::load::WireLoad;
-use lily::timing::sta::{try_analyze, StaOptions};
+use lily::timing::sta::try_analyze;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let network = lily::workloads::circuits::apex7();
@@ -32,12 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Walk Lily's critical path, printing gates and arrival times.
-    let sta = try_analyze(
-        &lily.mapped,
-        &library,
-        &StaOptions { wire_load: WireLoad::FromPlacement, input_arrival: 0.0 },
-    )
-    .expect("static timing analysis failed");
+    let sta = try_analyze(&lily.mapped, &library, WireLoad::FromPlacement)
+        .expect("static timing analysis failed");
     println!("\nLily critical path ({} stages):", sta.critical_path.len());
     for cell in &sta.critical_path {
         let c = lily.mapped.cell(*cell);

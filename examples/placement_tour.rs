@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Legalize into rows (pretend every module is one nand2 wide).
     let widths = vec![3.0 * 12.0; problem.movable];
-    let lopts = LegalizeOptions { core, row_height: 100.0, passes: 4 };
+    let lopts = LegalizeOptions { core, row_height: 100.0 };
     let legal = legalize(&widths, &gp.positions, &lopts);
     let before = hpwl(&problem.nets, &legal.positions, &pads);
     let better = improve(&legal, &widths, &problem.nets, &pads, &lopts);

@@ -72,7 +72,7 @@ pub mod prelude {
         compare_flows, run_flow, Degradation, FlowComparison, FlowMetrics, FlowOptions, FlowResult,
         PhysicalOptions,
     };
-    pub use lily_core::stage::{Mapper, StageMetrics};
+    pub use lily_core::stage::StageMetrics;
     pub use lily_core::{LilyMapper, MapError, MapMode, MapOptions, MisMapper};
     pub use lily_netlist::decompose::{decompose, DecomposeOrder};
     pub use lily_netlist::{Network, NodeFunc, SubjectGraph};

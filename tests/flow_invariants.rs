@@ -2,8 +2,8 @@
 //! regression guards for the configured Table 1 / Table 2 behavior.
 
 use lily::cells::mapped::equiv_mapped_subject;
-use lily::cells::Library;
-use lily::core::flow::FlowOptions;
+use lily::cells::{Gate, Library};
+use lily::core::flow::{FlowMetrics, FlowOptions};
 use lily::core::LayoutOptions;
 use lily::netlist::decompose::{decompose, DecomposeOrder};
 use lily::workloads::circuits;
@@ -140,4 +140,44 @@ fn tiny_library_gives_more_cells_than_big() {
     let tiny = FlowOptions::mis_area().run(&net, &Library::tiny()).unwrap();
     let big = FlowOptions::mis_area().run(&net, &Library::big()).unwrap();
     assert!(tiny.cells > big.cells, "tiny {} !> big {}", tiny.cells, big.cells);
+}
+
+#[test]
+fn renaming_library_gates_leaves_qor_unchanged() {
+    // Metamorphic oracle: mapping reads a gate's function, area, pins
+    // and patterns, never its name. Renaming every gate of the big
+    // library (gate order kept, names sorting in reverse of it) must
+    // leave every flow's QoR bit-identical.
+    let lib = Library::big();
+    let n = lib.len();
+    let renamed: Vec<Gate> = lib
+        .gates()
+        .iter()
+        .enumerate()
+        .map(|(i, g)| {
+            let name = format!("cell{:03}", n - i);
+            Gate::new(name, g.area(), g.grids(), g.pins().to_vec(), g.patterns().to_vec())
+        })
+        .collect();
+    let renamed = Library::try_from_gates(lib.name(), renamed, *lib.technology()).unwrap();
+    assert!(renamed.gates().iter().zip(lib.gates()).all(|(a, b)| a.name() != b.name()));
+    let net = circuits::circuit("misex1");
+    for opts in [
+        FlowOptions::mis_area(),
+        FlowOptions::lily_area(),
+        FlowOptions::cut_area(),
+        FlowOptions::mis_delay(),
+        FlowOptions::lily_delay(),
+        FlowOptions::cut_delay(),
+    ] {
+        let want = opts.run(&net, &lib).unwrap();
+        let got = opts.run(&net, &renamed).unwrap();
+        let qor = |m: &FlowMetrics| {
+            (
+                m.cells,
+                [m.instance_area, m.chip_area, m.wire_length, m.critical_delay].map(f64::to_bits),
+            )
+        };
+        assert_eq!(qor(&got), qor(&want), "{:?} {:?}", opts.mapper, opts.mode);
+    }
 }

@@ -110,8 +110,7 @@ fn legalization_never_overlaps() {
         let n = desired.len();
         let widths: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(12.0, 60.0)).collect();
         let core = Rect::new(0.0, 0.0, 4000.0, 800.0);
-        let legal =
-            legalize(&widths, &desired, &LegalizeOptions { core, row_height: 100.0, passes: 0 });
+        let legal = legalize(&widths, &desired, &LegalizeOptions { core, row_height: 100.0 });
         for row in &legal.rows {
             for w in row.windows(2) {
                 let (a, b) = (w[0], w[1]);
