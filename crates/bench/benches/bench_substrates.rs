@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the substrate algorithms: wire estimators
 //! (HPWL / spanning tree / iterated 1-Steiner), the CG quadratic solve,
-//! pattern-match enumeration, and global routing.
+//! and pattern-match enumeration.
 
 use lily_bench::harness::Harness;
 use lily_cells::Library;
@@ -59,28 +59,9 @@ fn bench_matching(h: &Harness) {
     }
 }
 
-fn bench_groute(h: &Harness) {
-    use lily_route::GlobalRouteGrid;
-    for nets_count in [50usize, 200] {
-        let nets: Vec<Vec<Point>> =
-            (0..nets_count).map(|i| random_net(3 + i % 5, i as u64 + 1)).collect();
-        h.bench("global_router", &format!("route_all/{nets_count}"), || {
-            let mut g = GlobalRouteGrid::new(
-                lily_place::Rect::new(0.0, 0.0, 1000.0, 1000.0),
-                20,
-                20,
-                4.0,
-                4.0,
-            );
-            g.route_all(&nets).wirelength
-        });
-    }
-}
-
 fn main() {
     let h = Harness::new();
     bench_wire_models(&h);
     bench_quadratic_solve(&h);
     bench_matching(&h);
-    bench_groute(&h);
 }

@@ -8,7 +8,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lily_cells::Library;
-use lily_core::flow::{DetailedPlacer, FlowOptions};
+use lily_core::flow::FlowOptions;
 use lily_netlist::{blif, Network};
 use lily_workloads::fuzz;
 use lily_workloads::gen::generate;
@@ -16,19 +16,13 @@ use lily_workloads::gen::generate;
 const CASES: u64 = 100;
 const SEED: u64 = 0x1117_f1ce;
 
-/// Flow configuration for case `i`: cycles objectives and detailed
-/// placers, including a deliberately starved annealer so the
-/// degradation ladder gets fuzzed too.
+/// Flow configuration for case `i`: cycles the mappers' objectives.
 fn options_for(i: u64) -> FlowOptions {
     let mut opts = match i % 3 {
         0 => FlowOptions::mis_area(),
         1 => FlowOptions::lily_area(),
         _ => FlowOptions::lily_delay(),
     };
-    if i % 4 == 3 {
-        opts.detailed_placer = DetailedPlacer::Anneal { seed: i };
-        opts.anneal_move_budget = Some((i % 5) * 40);
-    }
     opts.verify = false;
     opts
 }

@@ -67,24 +67,22 @@ const UNITS: [&str; 5] = ["nodes", "pads", "points", "cells", "nets"];
 const FLOWS: [&str; 4] = ["mis", "lily", "cut", "shared"];
 
 /// Every [`Degradation::stage`] the flow records.
-const DEGRADE_STAGES: [&str; 8] = [
+const DEGRADE_STAGES: [&str; 7] = [
     "lily-global-place",
     "mapped-global-place",
     "map",
     "detailed-placement",
-    "anneal",
     "wire-load",
     "detailed-place",
     "checkpoint",
 ];
 
 /// Every [`Degradation::fallback`] the flow records.
-const FALLBACKS: [&str; 9] = [
+const FALLBACKS: [&str; 8] = [
     "mis-mapper",
     "mapper-positions",
     "tree-partition",
     "core-center-seed",
-    "greedy",
     "per-fanout",
     "no-wire-load",
     "legalized-only",

@@ -31,8 +31,8 @@ pub enum MapError {
     /// A library-level error surfaced during the flow (malformed gate
     /// parameters, duplicate names, missing inverter).
     Library(lily_cells::LibraryError),
-    /// An iterative solver (placement CG, annealing schedule) failed to
-    /// converge and no fallback remained.
+    /// An iterative solver (placement CG) failed to converge and no
+    /// fallback remained.
     SolverDiverged {
         /// Which solver diverged.
         solver: &'static str,
@@ -40,16 +40,6 @@ pub enum MapError {
         iterations: usize,
         /// Final residual (NaN when the iteration blew up).
         residual: f64,
-    },
-    /// A resource budget (solver iterations, annealer moves) ran out and
-    /// no fallback remained.
-    BudgetExhausted {
-        /// Which resource ran out.
-        resource: &'static str,
-        /// Amount spent before exhaustion.
-        spent: u64,
-        /// The configured budget.
-        budget: u64,
     },
     /// The input is well-formed but has nothing to map (e.g. no primary
     /// outputs), or an option combination makes the request meaningless.
@@ -135,9 +125,6 @@ impl fmt::Display for MapError {
             MapError::SolverDiverged { solver, iterations, residual } => {
                 write!(f, "{solver} diverged after {iterations} iterations (residual {residual})")
             }
-            MapError::BudgetExhausted { resource, spent, budget } => {
-                write!(f, "{resource} budget exhausted: spent {spent} of {budget}")
-            }
             MapError::DegenerateInput { stage, message } => {
                 write!(f, "degenerate input at {stage}: {message}")
             }
@@ -203,9 +190,6 @@ impl From<lily_place::PlaceError> for MapError {
             P::SolverDiverged { solver, iterations, residual } => {
                 MapError::SolverDiverged { solver, iterations, residual }
             }
-            P::BudgetExhausted { resource, spent, budget } => {
-                MapError::BudgetExhausted { resource, spent, budget }
-            }
             P::NonFinite { context } => MapError::NonFiniteValue { context },
             P::InvalidProblem { message } => {
                 MapError::DegenerateInput { stage: "placement", message }
@@ -242,7 +226,6 @@ mod tests {
             MapError::Netlist(lily_netlist::NetlistError::UnknownNode { id: 1 }),
             MapError::Library(lily_cells::LibraryError::NoInverter),
             MapError::SolverDiverged { solver: "cg", iterations: 100, residual: f64::NAN },
-            MapError::BudgetExhausted { resource: "anneal moves", spent: 5, budget: 5 },
             MapError::DegenerateInput { stage: "netlist", message: "no outputs".into() },
             MapError::NonFiniteValue { context: "critical delay" },
         ];
@@ -266,12 +249,6 @@ mod tests {
             residual: 1.0,
         });
         assert!(matches!(e, MapError::SolverDiverged { iterations: 42, .. }));
-        let e = MapError::from(lily_place::PlaceError::BudgetExhausted {
-            resource: "anneal moves",
-            spent: 7,
-            budget: 7,
-        });
-        assert!(matches!(e, MapError::BudgetExhausted { spent: 7, .. }));
         let e = MapError::from(lily_place::PlaceError::NonFinite { context: "pad coordinates" });
         assert!(matches!(e, MapError::NonFiniteValue { context: "pad coordinates" }));
     }

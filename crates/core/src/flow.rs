@@ -43,19 +43,6 @@ use lily_netlist::{Network, SubjectGraph};
 
 pub use crate::stage::mapped_problem;
 
-/// Which detailed-placement refinement runs after legalization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DetailedPlacer {
-    /// Median relocation + adjacent-swap passes (fast, deterministic).
-    Greedy,
-    /// Simulated annealing (TimberWolf-style) followed by
-    /// re-legalization and the greedy polish.
-    Anneal {
-        /// RNG seed of the annealer.
-        seed: u64,
-    },
-}
-
 /// Which mapper drives the flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowMapper {
@@ -78,10 +65,6 @@ pub struct PhysicalOptions {
     /// Estimated mapped-area per inchoate base gate, in layout grids
     /// (sizes Lily's pre-mapping layout image).
     pub grids_per_base_gate: f64,
-    /// Measure wire with the congestion-aware pattern global router
-    /// instead of the Steiner + detour-factor model. Off by default
-    /// (the published tables use the detour model).
-    pub global_router: bool,
     /// Movable-module count at or above which global placement (both
     /// the subject-graph placement and the mapped-netlist re-place)
     /// switches from flat GORDIAN CG to the multilevel clustered
@@ -90,8 +73,8 @@ pub struct PhysicalOptions {
     pub multilevel_threshold: usize,
     /// Cell count above which the detailed-place improvement pass is
     /// skipped (legalized positions ship as-is, with an audited
-    /// degradation). The greedy/anneal refiners are O(passes·cells·nets)
-    /// and stop paying for themselves long before this.
+    /// degradation). The greedy improver is O(passes·cells·nets) and
+    /// stops paying for itself long before this.
     pub detailed_place_max_cells: usize,
     /// Subject-graph node count above which a cone covering partition
     /// is demoted to maximal trees (with an audited degradation). Logic
@@ -108,7 +91,6 @@ impl Default for PhysicalOptions {
     fn default() -> Self {
         Self {
             grids_per_base_gate: 1.5,
-            global_router: false,
             multilevel_threshold: 5_000,
             detailed_place_max_cells: 25_000,
             cone_partition_max_nodes: 50_000,
@@ -129,20 +111,10 @@ pub struct FlowOptions {
     pub layout: LayoutOptions,
     /// Physical-design knobs shared by both pipelines.
     pub physical: PhysicalOptions,
-    /// Detailed-placement refinement algorithm.
-    pub detailed_placer: DetailedPlacer,
-    /// Hard budget on annealer moves (only meaningful with
-    /// [`DetailedPlacer::Anneal`]). When the budget runs out before the
-    /// schedule finishes, the flow falls back to the greedy detailed
-    /// placer and records the degradation; `None` runs the full
-    /// schedule.
-    pub anneal_move_budget: Option<u64>,
-    /// Per-node annealer move budget: the effective budget is
-    /// `moves_per_node × cells`, so large circuits degrade predictably
-    /// instead of burning a fixed budget ever faster. When both this
-    /// and the absolute [`FlowOptions::anneal_move_budget`] are set,
-    /// the *smaller* of the two budgets binds. `None` leaves only the
-    /// absolute knob (or the full schedule) in charge.
+    /// Inert: no stage reads it. It was the per-cell move budget of
+    /// the retired simulated-annealing detailed placer, and stays only
+    /// because the repository benchmark's scale-50k workload still
+    /// sets it. ROADMAP item 12 deletes it together with that line.
     pub anneal_moves_per_node: Option<u64>,
     /// Post-mapping fanout optimization: nets driving more than this
     /// many sinks are split into inverter-pair buffer trees (the pass
@@ -168,7 +140,7 @@ pub struct FlowOptions {
     pub stage_deadline: Option<std::time::Duration>,
     /// How many times a stage attempt that failed with a *transient*
     /// error (cancellation, deadline, injected fault, solver
-    /// divergence, budget exhaustion, non-finite value) is retried
+    /// divergence, non-finite value) is retried
     /// before the stage's degraded fallback — and finally the error —
     /// applies. Retries are counted in [`FlowMetrics::retries`].
     pub stage_retries: u32,
@@ -183,8 +155,6 @@ impl FlowOptions {
             layout: LayoutOptions::default(),
             physical: PhysicalOptions::default(),
             fanout_limit: None,
-            detailed_placer: DetailedPlacer::Greedy,
-            anneal_move_budget: None,
             anneal_moves_per_node: None,
             constructive_placement: true,
             verify: cfg!(debug_assertions),
@@ -256,7 +226,7 @@ impl FlowOptions {
     /// # Errors
     ///
     /// See [`FlowOptions::run`]. Recoverable trouble (a diverging
-    /// placement solve, an exhausted anneal budget, a failing wire-load
+    /// placement solve, non-finite positions, a failing wire-load
     /// model) does *not* error: the flow steps down a degradation ladder
     /// and records each step in [`FlowMetrics::degradations`].
     pub fn run_subject(&self, g: &SubjectGraph, lib: &Library) -> Result<FlowResult, MapError> {
@@ -541,7 +511,7 @@ pub struct Degradation {
     pub flow: &'static str,
     /// The stage that could not run as configured (`"lily-global-place"`,
     /// `"mapped-global-place"`, `"map"`, `"detailed-placement"`,
-    /// `"detailed-place"`, `"anneal"`, `"wire-load"`, or
+    /// `"detailed-place"`, `"wire-load"`, or
     /// `"checkpoint"` for a stored stage that could not be restored).
     pub stage: &'static str,
     /// The fallback strategy the flow used instead.

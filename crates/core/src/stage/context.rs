@@ -139,8 +139,7 @@ impl<'l> FlowContext<'l> {
     /// Each attempt gets a fresh cancellation token (carrying
     /// [`FlowOptions::stage_deadline`] when configured) and freshly
     /// armed faults; a transient failure (cancellation, deadline,
-    /// injected fault, solver divergence, budget exhaustion, non-finite
-    /// value) is retried up to [`FlowOptions::stage_retries`] times.
+    /// injected fault, solver divergence, non-finite value) is retried up to [`FlowOptions::stage_retries`] times.
     /// When every attempt fails the stage's [`Stage::degraded`] hook
     /// may still produce a fallback artifact; otherwise the last error
     /// propagates. Non-transient errors (degenerate input, verification
@@ -241,7 +240,6 @@ impl<'l> FlowContext<'l> {
                 | MapError::StageDeadline { .. }
                 | MapError::FaultInjected { .. }
                 | MapError::SolverDiverged { .. }
-                | MapError::BudgetExhausted { .. }
                 | MapError::NonFiniteValue { .. }
         )
     }

@@ -10,7 +10,7 @@ use crate::baseline::MisMapper;
 use crate::cover::{MapStats, Partition};
 use crate::cuts::CutMapper;
 use crate::error::MapError;
-use crate::flow::{DetailedPlacer, FlowMapper, FlowOptions};
+use crate::flow::{FlowMapper, FlowOptions};
 use crate::json::{array, hex_f64, Json, JsonObject};
 use crate::lily::LilyMapper;
 use crate::stage::codec::{
@@ -21,7 +21,6 @@ use lily_cells::{CellId, Library, MappedNetwork, SignalSource};
 use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_netlist::{Network, SubjectGraph};
 use lily_par::ParOptions;
-use lily_place::anneal::{try_anneal, AnnealOptions};
 use lily_place::global::try_global_place;
 use lily_place::legalize::{improve, legalize, LegalizeOptions, Legalized};
 use lily_place::multilevel::MultilevelSystem;
@@ -609,8 +608,8 @@ impl<'a> ArtifactCodec<(&'a PadPlan, Mapping)> for LegalPlacement {
 /// Legalization: mapped netlist → row-legal placement. Sizes the final
 /// core from the real mapped area, rescales the pads onto it, globally
 /// places the netlist when the mapper left no constructive placement,
-/// runs the configured pre-legalization refinement (annealing), and
-/// packs cells into rows.
+/// seeds non-finite positions at the core center, and packs cells into
+/// rows. Improving the rows is [`DetailedPlace`]'s job.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Legalize;
 
@@ -704,60 +703,6 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
             None
         } else {
             let lopts = LegalizeOptions { core, row_height: tech.row_height };
-            let desired = match options.detailed_placer {
-                DetailedPlacer::Greedy => desired,
-                DetailedPlacer::Anneal { seed } => {
-                    // Anneal the point placement, then re-legalize. An
-                    // exhausted move budget (or an annealer error)
-                    // falls back to the greedy placer on the original
-                    // points.
-                    let mut pts = desired.clone();
-                    // The per-node knob scales the budget with the
-                    // instance; when both knobs are set the smaller
-                    // budget binds (and names itself in the audit).
-                    let absolute = options.anneal_move_budget;
-                    let per_node =
-                        options.anneal_moves_per_node.map(|m| m.saturating_mul(pts.len() as u64));
-                    let per_node_binds = match (absolute, per_node) {
-                        (Some(a), Some(p)) => p < a,
-                        (None, Some(_)) => true,
-                        _ => false,
-                    };
-                    let max_moves = if ctx.armed.take_budget() {
-                        // Injected budget crunch: the annealer must
-                        // exhaust immediately and audit the fallback.
-                        Some(0)
-                    } else {
-                        match (absolute, per_node) {
-                            (Some(a), Some(p)) => Some(a.min(p)),
-                            (a, p) => a.or(p),
-                        }
-                    };
-                    let aopts = AnnealOptions { seed, max_moves, ..AnnealOptions::for_core(core) };
-                    match try_anneal(&mut pts, &problem.nets, &fixed, &aopts) {
-                        Err(lily_place::PlaceError::Cancelled { context }) => {
-                            return Err(MapError::Cancelled { context });
-                        }
-                        Ok(astats) if astats.budget_exhausted => {
-                            let kind = if per_node_binds { "per-node move" } else { "move" };
-                            ctx.degrade(
-                                "anneal",
-                                "greedy",
-                                format!(
-                                    "{kind} budget exhausted after {} moves",
-                                    astats.moves_attempted
-                                ),
-                            );
-                            desired
-                        }
-                        Ok(_) => pts,
-                        Err(e) => {
-                            ctx.degrade("anneal", "greedy", e.to_string());
-                            desired
-                        }
-                    }
-                }
-            };
             Some(legalize(&widths, &desired, &lopts))
         };
         Ok(LegalPlacement { mapped, core, stats, widths, problem, fixed, legal })
@@ -926,8 +871,9 @@ impl<'a> ArtifactCodec<&'a PlacedDesign> for RouteFigures {
 }
 
 /// Routing estimate: placed design → wire length, congestion, and chip
-/// area (Steiner per net inflated by congestion, or the pattern global
-/// router when enabled).
+/// area. Each net's Steiner length is inflated by the overflow of the
+/// congestion bins it crosses; the channel-density chip area is
+/// reported beside it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RouteEstimate;
 
@@ -944,7 +890,6 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
         placed: &'a PlacedDesign,
     ) -> Result<Self::Out, MapError> {
         let lib = ctx.lib;
-        let options = ctx.options;
         let tech = lib.technology();
         let mapped = &placed.mapped;
         let core = placed.core;
@@ -963,24 +908,11 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
                 (grid.bin_box(pts), rsmt_length_with(pts, scratch))
             });
         deposit_striped(&par, &mut grid, &points, &sized);
-        let wire_length: f64 = if options.physical.global_router {
-            // L-shape pattern routing over bin-edge capacities;
-            // overflow inflates each net's length through the same
-            // detour gain.
-            let nx = ((core.width() / tech.row_height).ceil() as usize).max(1);
-            let ny = ((core.height() / tech.row_height).ceil() as usize).max(1);
-            let cap = ROUTE_SUPPLY * tech.row_height * tech.row_height / tech.wire_pitch;
-            let mut router = lily_route::GlobalRouteGrid::new(core, nx, ny, cap, cap);
-            let summary = router.route_all(&points);
-            summary.wirelength
-                * (1.0 + DETOUR_GAIN * summary.overflow / (summary.connections.max(1) as f64))
-        } else {
-            let table = grid.overflow_table();
-            let routed = lily_par::par_map(&par, &sized, |&(bbox, len)| {
-                table.routed_length(bbox, len, DETOUR_GAIN)
-            });
-            routed.iter().sum()
-        };
+        let table = grid.overflow_table();
+        let routed = lily_par::par_map(&par, &sized, |&(bbox, len)| {
+            table.routed_length(bbox, len, DETOUR_GAIN)
+        });
+        let wire_length: f64 = routed.iter().sum();
 
         let instance_area = mapped.instance_area(lib);
         let chip_area = AREA_MODEL.chip_area(instance_area, wire_length);

@@ -29,10 +29,6 @@ fn display_table() -> Vec<(MapError, Vec<&'static str>)> {
             vec!["conjugate-gradient", "diverged", "250 iterations", "3.5"],
         ),
         (
-            MapError::BudgetExhausted { resource: "anneal moves", spent: 80, budget: 80 },
-            vec!["anneal moves", "budget exhausted", "spent 80 of 80"],
-        ),
-        (
             MapError::DegenerateInput { stage: "decompose", message: "no primary outputs".into() },
             vec!["degenerate input", "decompose", "no primary outputs"],
         ),
@@ -72,7 +68,6 @@ fn variant_name(e: &MapError) -> &'static str {
         MapError::Netlist(..) => "Netlist",
         MapError::Library(..) => "Library",
         MapError::SolverDiverged { .. } => "SolverDiverged",
-        MapError::BudgetExhausted { .. } => "BudgetExhausted",
         MapError::DegenerateInput { .. } => "DegenerateInput",
         MapError::NonFiniteValue { .. } => "NonFiniteValue",
         MapError::Verify { .. } => "Verify",
@@ -140,10 +135,6 @@ fn place_conversions_preserve_details() {
         (
             P::SolverDiverged { solver: "cg", iterations: 99, residual: 0.25 },
             MapError::SolverDiverged { solver: "cg", iterations: 99, residual: 0.25 },
-        ),
-        (
-            P::BudgetExhausted { resource: "cg iterations", spent: 10, budget: 10 },
-            MapError::BudgetExhausted { resource: "cg iterations", spent: 10, budget: 10 },
         ),
         (P::NonFinite { context: "pad ring" }, MapError::NonFiniteValue { context: "pad ring" }),
         (

@@ -14,7 +14,7 @@ use std::time::Duration;
 use lily_cells::Library;
 use lily_core::flow::{FlowOptions, FlowResult, FlowRun};
 use lily_core::MapError;
-use lily_fault::{FaultKind, FaultPlan, FaultReport};
+use lily_fault::{FaultKind, FaultPlan, FaultReport, FiredFault, STAGE_NAMES};
 use lily_workloads::circuits;
 
 /// A plan mixing every benign fault class across different stages.
@@ -201,5 +201,49 @@ fn compare_flows_chaos_audit_is_identical_at_any_thread_count() {
                 "threads={threads}"
             );
         }
+    }
+}
+
+/// Every degradation-class kind a random benign plan can draw must have
+/// a consumer: planted at invocation 0 on each stage of a default Lily
+/// flow, it fires somewhere, and every firing leaves an audited
+/// degradation or a retry. A kind that no stage consumes would make the
+/// chaos harness's benign plans silently weaker.
+#[test]
+fn every_drawn_degradation_kind_fires_and_leaves_a_trace() {
+    let lib = Library::big();
+    let net = circuits::misex1();
+    let opts = FlowOptions::lily_area();
+    let degradation_class = |kind: FaultKind| {
+        let fired = FiredFault { stage: "map".to_string(), invocation: 0, kind };
+        FaultReport { fired: vec![fired] }.degradation_class() == 1
+    };
+    let mut kinds: Vec<FaultKind> = Vec::new();
+    for seed in 0..256 {
+        for f in FaultPlan::random(seed, true).faults() {
+            if degradation_class(f.kind) && !kinds.iter().any(|k| k.name() == f.kind.name()) {
+                kinds.push(f.kind);
+            }
+        }
+    }
+    assert!(!kinds.is_empty(), "random benign plans draw no degradation-class kind");
+    for kind in kinds {
+        let mut fired_on = 0;
+        for stage in STAGE_NAMES {
+            let mut plan = FaultPlan::new();
+            plan.push(stage, 0, kind);
+            let (result, report) = chaos(&plan).single(&net, &lib, &opts);
+            let run = result.unwrap_or_else(|e| panic!("{} on {stage} failed: {e}", kind.name()));
+            if report.fired.is_empty() {
+                continue;
+            }
+            fired_on += 1;
+            assert!(
+                !run.metrics.degradations.is_empty() || run.metrics.retries > 0,
+                "{} fired on {stage} but left no degradation or retry",
+                kind.name()
+            );
+        }
+        assert!(fired_on > 0, "{} fires on no stage of a default flow", kind.name());
     }
 }

@@ -6,7 +6,7 @@
 //! the two primitives the chaos harness is built on:
 //!
 //! * [`CancelToken`] — a cooperative cancellation flag with an optional
-//!   wall-clock deadline. Kernels (CG iterations, the annealer, the
+//!   wall-clock deadline. Kernels (CG iterations, the
 //!   match-enumeration loop) poll it at safe points and return a typed
 //!   [`Cancelled`] error instead of running to completion. A token
 //!   travels either explicitly (placement kernels take `&CancelToken`)
@@ -200,9 +200,6 @@ pub enum FaultKind {
     /// Placement / timing values are poisoned with NaN (exercises the
     /// non-finite guards and their ladder rungs).
     NanPoison,
-    /// The stage's move/iteration budget is crunched to zero
-    /// (exercises budget-exhaustion fallbacks).
-    BudgetCrunch,
     /// The stage sleeps this many milliseconds before running (wall
     /// time only — never changes computed values).
     Latency(u64),
@@ -233,7 +230,6 @@ impl FaultKind {
             FaultKind::StageError => "stage-error",
             FaultKind::SolverDiverged => "solver-diverged",
             FaultKind::NanPoison => "nan-poison",
-            FaultKind::BudgetCrunch => "budget-crunch",
             FaultKind::Latency(_) => "latency",
             FaultKind::Cancel => "cancel",
             FaultKind::CloseWorkers(_) => "close-workers",
@@ -259,7 +255,6 @@ impl FaultKind {
             "stage-error" => FaultKind::StageError,
             "solver-diverged" => FaultKind::SolverDiverged,
             "nan-poison" => FaultKind::NanPoison,
-            "budget-crunch" => FaultKind::BudgetCrunch,
             "latency" => FaultKind::Latency(param),
             "cancel" => FaultKind::Cancel,
             "close-workers" => FaultKind::CloseWorkers(u32::try_from(param).ok()?),
@@ -277,7 +272,6 @@ impl FaultKind {
             self,
             FaultKind::SolverDiverged
                 | FaultKind::NanPoison
-                | FaultKind::BudgetCrunch
                 | FaultKind::Latency(_)
                 | FaultKind::CloseWorkers(_)
                 | FaultKind::WatchdogTrip(_)
@@ -379,23 +373,21 @@ impl FaultPlan {
         for _ in 0..count {
             let stage = STAGE_NAMES[rng.below(STAGE_NAMES.len() as u64) as usize];
             let kind = if benign_only {
-                match rng.below(6) {
+                match rng.below(5) {
                     0 => FaultKind::SolverDiverged,
                     1 => FaultKind::NanPoison,
-                    2 => FaultKind::BudgetCrunch,
-                    3 => FaultKind::Latency(rng.below(3)),
-                    4 => FaultKind::WatchdogTrip(1 + rng.below(3)),
+                    2 => FaultKind::Latency(rng.below(3)),
+                    3 => FaultKind::WatchdogTrip(1 + rng.below(3)),
                     _ => FaultKind::CloseWorkers(1 + rng.below(3) as u32),
                 }
             } else {
-                match rng.below(8) {
+                match rng.below(7) {
                     0 => FaultKind::SolverDiverged,
                     1 => FaultKind::NanPoison,
-                    2 => FaultKind::BudgetCrunch,
-                    3 => FaultKind::Latency(rng.below(3)),
-                    4 => FaultKind::CloseWorkers(1 + rng.below(3) as u32),
-                    5 => FaultKind::StageError,
-                    6 => FaultKind::WatchdogTrip(1 + rng.below(3)),
+                    2 => FaultKind::Latency(rng.below(3)),
+                    3 => FaultKind::CloseWorkers(1 + rng.below(3) as u32),
+                    4 => FaultKind::StageError,
+                    5 => FaultKind::WatchdogTrip(1 + rng.below(3)),
                     _ => FaultKind::Cancel,
                 }
             };
@@ -455,12 +447,7 @@ impl FaultReport {
     pub fn degradation_class(&self) -> usize {
         self.fired
             .iter()
-            .filter(|f| {
-                matches!(
-                    f.kind,
-                    FaultKind::SolverDiverged | FaultKind::NanPoison | FaultKind::BudgetCrunch
-                )
-            })
+            .filter(|f| matches!(f.kind, FaultKind::SolverDiverged | FaultKind::NanPoison))
             .count()
     }
 
@@ -519,7 +506,6 @@ impl Injector {
                     FaultKind::StageError => armed.error = true,
                     FaultKind::SolverDiverged => armed.solver_diverged = true,
                     FaultKind::NanPoison => armed.nan = true,
-                    FaultKind::BudgetCrunch => armed.budget = true,
                     FaultKind::Latency(ms) => armed.latency_ms = armed.latency_ms.max(ms),
                     FaultKind::Cancel => armed.cancel = true,
                     FaultKind::CloseWorkers(n) => armed.close_workers += n,
@@ -537,7 +523,7 @@ impl Injector {
 /// The faults armed for one stage attempt. Boundary faults (`error`,
 /// `latency`, `cancel`, `close_workers`) are consumed by the flow
 /// engine at the stage boundary; kernel faults (`solver_diverged`,
-/// `nan`, `budget`) are consumed inside the stage body via the
+/// `nan`) are consumed inside the stage body via the
 /// `take_*` methods, which also log the firing.
 #[derive(Debug, Default)]
 pub struct ArmedFaults {
@@ -545,7 +531,6 @@ pub struct ArmedFaults {
     pub error: bool,
     solver_diverged: bool,
     nan: bool,
-    budget: bool,
     /// Sleep this long (ms) before running the attempt.
     pub latency_ms: u64,
     /// Stall (cancellably) up to this long (ms) before running the
@@ -591,17 +576,6 @@ impl ArmedFaults {
         if self.nan {
             self.nan = false;
             self.consume(FaultKind::NanPoison);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Consumes an armed `BudgetCrunch` fault (logs the firing).
-    pub fn take_budget(&mut self) -> bool {
-        if self.budget {
-            self.budget = false;
-            self.consume(FaultKind::BudgetCrunch);
             true
         } else {
             false
@@ -786,7 +760,6 @@ mod tests {
             FaultKind::StageError,
             FaultKind::SolverDiverged,
             FaultKind::NanPoison,
-            FaultKind::BudgetCrunch,
             FaultKind::Latency(17),
             FaultKind::Cancel,
             FaultKind::CloseWorkers(3),

@@ -1,8 +1,8 @@
 //! Structured errors of the placement substrate.
 //!
 //! Every fallible placement entry point (`try_solve_quadratic`,
-//! `try_global_place`, `try_anneal`) reports one of these instead of
-//! panicking, so the flow above can degrade gracefully (see the
+//! `try_global_place`, `try_multilevel_place`) reports one of these
+//! instead of panicking, so the flow above can degrade gracefully (see the
 //! degradation ladder in `lily-core`).
 
 use std::error::Error;
@@ -27,15 +27,6 @@ pub enum PlaceError {
         /// Final residual norm (may be NaN/∞ when the solve blew up).
         residual: f64,
     },
-    /// A resource budget was exhausted before the algorithm finished.
-    BudgetExhausted {
-        /// Which budget ran out (`"anneal-moves"`, …).
-        resource: &'static str,
-        /// Amount spent.
-        spent: u64,
-        /// The configured budget.
-        budget: u64,
-    },
     /// A non-finite coordinate or weight was encountered where a finite
     /// value is required.
     NonFinite {
@@ -46,7 +37,7 @@ pub enum PlaceError {
     /// injected cancel fault) while a kernel was running.
     Cancelled {
         /// Which kernel observed the cancellation
-        /// (`"conjugate-gradient"`, `"anneal"`, …).
+        /// (`"conjugate-gradient"`, …).
         context: &'static str,
     },
 }
@@ -59,9 +50,6 @@ impl fmt::Display for PlaceError {
             }
             PlaceError::SolverDiverged { solver, iterations, residual } => {
                 write!(f, "{solver} diverged after {iterations} iterations (residual {residual})")
-            }
-            PlaceError::BudgetExhausted { resource, spent, budget } => {
-                write!(f, "{resource} budget exhausted ({spent} of {budget} spent)")
             }
             PlaceError::NonFinite { context } => {
                 write!(f, "non-finite value in {context}")
@@ -88,9 +76,8 @@ mod tests {
                 iterations: 12,
                 residual: f64::NAN,
             },
-            PlaceError::BudgetExhausted { resource: "anneal-moves", spent: 10, budget: 10 },
             PlaceError::NonFinite { context: "pad coordinates" },
-            PlaceError::Cancelled { context: "anneal" },
+            PlaceError::Cancelled { context: "conjugate-gradient" },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

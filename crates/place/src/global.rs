@@ -44,7 +44,7 @@ pub struct GlobalPlacement {
 ///
 /// The partitioning depth is already capped at 12 levels; each
 /// quadratic solve is additionally guarded by the conjugate-gradient
-/// iteration budget and NaN detection of [`try_solve_quadratic`], and
+/// iteration budget and NaN detection of [`try_solve_quadratic`](crate::quadratic::try_solve_quadratic), and
 /// the region the solver must place into is checked for finite
 /// geometry up front. The calling thread's
 /// ambient cancellation token is polled once per CG iteration and once

@@ -22,13 +22,11 @@
 //! * [`pads`] — connectivity-driven bottom-up I/O pad assignment
 //!   (paper's reference \[20\]).
 //! * [`legalize`] — row-based detailed placement of the mapped netlist
-//!   with median-relocation and swap improvement, and [`anneal`] — a
-//!   simulated-annealing refiner (stand-ins for the TimberWolf-era
-//!   detailed placers the paper used).
+//!   with median-relocation and swap improvement (a stand-in for the
+//!   TimberWolf-era detailed placer the paper used).
 //! * [`area`] — the standard-cell layout image and chip-area model
 //!   (paper's reference \[15\]).
 
-pub mod anneal;
 pub mod area;
 pub mod error;
 pub mod geom;
@@ -40,7 +38,6 @@ pub mod problem;
 pub mod quadratic;
 pub mod sparse;
 
-pub use anneal::{try_anneal, AnnealOptions, AnnealStats};
 pub use area::AreaModel;
 pub use error::PlaceError;
 pub use geom::{Point, Rect};

@@ -206,7 +206,7 @@ impl CsrMatrix {
 }
 
 /// Dot product with a deterministic, thread-count-independent reduction
-/// order: the input is cut into fixed [`DOT_CHUNK`]-element chunks, each
+/// order: the input is cut into fixed `DOT_CHUNK`-element (4096) chunks, each
 /// chunk is reduced by a sequential left fold (in parallel across
 /// chunks when worthwhile), and the per-chunk partials are summed left
 /// to right. Vectors no longer than one chunk reduce to the plain

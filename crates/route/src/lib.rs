@@ -22,7 +22,6 @@
 pub mod channel;
 pub mod congestion;
 pub mod estimate;
-pub mod groute;
 pub mod hpwl;
 pub mod rsmt;
 pub mod rst;
@@ -31,7 +30,6 @@ pub mod steiner_factor;
 pub use channel::{channel_densities, channel_routing_area};
 pub use congestion::{BinBox, CongestionGrid};
 pub use estimate::{net_length, net_length_with, WireModel};
-pub use groute::{GlobalRouteGrid, RouteSummary};
 pub use hpwl::{half_perimeter, net_extents};
 pub use rsmt::{rsmt_length, rsmt_length_with, RsmtScratch};
 pub use rst::{rst_length, PrimScratch};

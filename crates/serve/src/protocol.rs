@@ -404,7 +404,6 @@ pub fn error_kind(e: &MapError) -> &'static str {
         MapError::Netlist(_) => "netlist",
         MapError::Library(_) => "library",
         MapError::SolverDiverged { .. } => "solver-diverged",
-        MapError::BudgetExhausted { .. } => "budget-exhausted",
         MapError::DegenerateInput { .. } => "degenerate-input",
         MapError::NonFiniteValue { .. } => "non-finite-value",
         MapError::Verify { .. } => "verify",

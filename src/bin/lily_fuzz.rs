@@ -51,7 +51,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lily::cells::Library;
-use lily::core::flow::{DetailedPlacer, FlowOptions, FlowRun};
+use lily::core::flow::{FlowOptions, FlowRun};
 use lily::fault::FaultPlan;
 use lily::netlist::{blif, Network};
 use lily::replay::Replay;
@@ -127,9 +127,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Flow configuration for case `i`: cycles all three mappers plus a
-/// delay objective, and detailed placers including a deliberately
-/// starved annealer so the degradation ladder gets fuzzed too. Mirrors
-/// `crates/check/tests/fuzz_flow.rs`.
+/// delay objective. Mirrors `crates/check/tests/fuzz_flow.rs`.
 fn options_for(i: u64) -> FlowOptions {
     let mut opts = match i % 4 {
         0 => FlowOptions::mis_area(),
@@ -137,10 +135,6 @@ fn options_for(i: u64) -> FlowOptions {
         2 => FlowOptions::cut_area(),
         _ => FlowOptions::lily_delay(),
     };
-    if i % 5 == 3 {
-        opts.detailed_placer = DetailedPlacer::Anneal { seed: i };
-        opts.anneal_move_budget = Some((i % 4) * 40);
-    }
     opts.verify = false;
     opts
 }
