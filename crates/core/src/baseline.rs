@@ -6,7 +6,7 @@
 //! function of the fanout count — paper Section 4.2). Positions play no
 //! role; the physical design tools get the netlist afterwards.
 
-use crate::cover::{Engine, MapMode, MapResult, Partition};
+use crate::cover::{CostModel, Engine, MapMode, MapResult, Partition, Scope};
 use crate::error::MapError;
 use crate::matching::MatchSlot;
 use lily_cells::Library;
@@ -100,73 +100,11 @@ impl<'l> MisMapper<'l> {
     ///
     /// See [`MapError`].
     pub fn map_with(&self, g: &SubjectGraph, matches: &MatchSlot) -> Result<MapResult, MapError> {
-        let mut e = Engine::with_index(g, self.lib, matches.get_or_build(g, self.lib)?);
-        let scopes = e.scopes(self.options.partition, false);
+        let e = Engine::with_index(g, self.lib, matches.get_or_build(g, self.lib)?);
         let n = g.node_count();
-
         // Persistent DP value arrays (hawks keep theirs across cones).
-        let mut area = vec![0.0f64; n];
-        let mut arrival = vec![Arrival::ZERO; n];
-
-        // Wire-blind output load at a subject node: all base fanouts.
-        let pin_cap = self.lib.technology().pin_cap;
-        let load_of = |e: &Engine, v: SubjectNodeId| -> f64 {
-            let fanout = e.fanouts[v.index()].len() + e.outputs_of(v).len();
-            fanout as f64 * (pin_cap + self.options.wire_cap_per_fanout)
-        };
-
-        for scope in &scopes {
-            for &v in scope.members() {
-                if !e.visit(v) || e.reuse(v) {
-                    continue; // hawk: cost already settled; or unchanged since its last solve
-                }
-                let mut best: Option<(f64, f64, usize, Arrival)> = None; // (key, tiebreak, match, arrival)
-                let cl = load_of(&e, v);
-                for (mi, m) in e.idx.at(v).iter().enumerate() {
-                    if !e.match_allowed(scope, &m) {
-                        continue;
-                    }
-                    let gate = self.lib.gate(m.gate);
-                    // Area accumulation (also the delay-mode tiebreak).
-                    let mut a = gate.area();
-                    for &vi in m.inputs {
-                        if self.dp_contributes(&e, vi) {
-                            a += area[vi.index()];
-                        }
-                    }
-                    let (key, tiebreak, arr) = match self.options.mode {
-                        MapMode::Area => (a, 0.0, Arrival::ZERO),
-                        MapMode::Delay => {
-                            let mut out = Arrival::NEG_INF;
-                            for (pi, (&vi, pin)) in m.inputs.iter().zip(gate.pins()).enumerate() {
-                                let t_in = self.input_arrival(&e, vi, &arrival);
-                                let u = gate.unateness(pi);
-                                out = out.max(propagate(t_in, pin, u, cl));
-                            }
-                            (out.worst(), a, out)
-                        }
-                    };
-                    if best.is_none_or(|(bk, bt, _, _)| {
-                        key < bk - 1e-12 || (key < bk + 1e-12 && tiebreak < bt - 1e-12)
-                    }) {
-                        best = Some((key, tiebreak, mi, arr));
-                    }
-                }
-                let (key, t, mi, arr) = best.ok_or(MapError::NoMatch { node: v.index() })?;
-                let i = v.index();
-                let (a, arr) = match self.options.mode {
-                    MapMode::Area => (key, arrival[i]),
-                    MapMode::Delay => (t, arr),
-                };
-                let changed =
-                    a.to_bits() != area[i].to_bits() || arr.to_bits() != arrival[i].to_bits();
-                e.record_solve(v, mi, changed);
-                area[i] = a;
-                arrival[i] = arr;
-            }
-            e.commit(scope.root(), &mut |_| (0.0, 0.0));
-        }
-        Ok(e.finish())
+        let mut dp = MisDp { mapper: self, area: vec![0.0; n], arrival: vec![Arrival::ZERO; n] };
+        e.cover(self.options.partition, false, &mut dp)
     }
 
     /// Whether `vi` contributes a DP cost (false for primary inputs and
@@ -181,6 +119,75 @@ impl<'l> MisMapper<'l> {
             SubjectKind::Input(_) => Arrival::ZERO,
             _ => arrival[vi.index()],
         }
+    }
+}
+
+/// The wire-blind covering DP of [`MisMapper`]: per node, the best
+/// match by area, or by worst arrival with area as the tiebreak.
+struct MisDp<'m, 'l> {
+    mapper: &'m MisMapper<'l>,
+    area: Vec<f64>,
+    arrival: Vec<Arrival>,
+}
+
+impl CostModel for MisDp<'_, '_> {
+    fn solve(
+        &mut self,
+        e: &mut Engine<'_>,
+        scope: &Scope,
+        v: SubjectNodeId,
+    ) -> Result<(), MapError> {
+        let (lib, options) = (self.mapper.lib, &self.mapper.options);
+        // Wire-blind output load at a subject node: all base fanouts.
+        let fanout = e.fanouts[v.index()].len() + e.outputs_of(v).len();
+        let cl = fanout as f64 * (lib.technology().pin_cap + options.wire_cap_per_fanout);
+        let mut best: Option<(f64, f64, usize, Arrival)> = None; // (key, tiebreak, match, arrival)
+        for (mi, m) in e.idx.at(v).iter().enumerate() {
+            if !e.match_allowed(scope, &m) {
+                continue;
+            }
+            let gate = lib.gate(m.gate);
+            // Area accumulation (also the delay-mode tiebreak).
+            let mut a = gate.area();
+            for &vi in m.inputs {
+                if self.mapper.dp_contributes(e, vi) {
+                    a += self.area[vi.index()];
+                }
+            }
+            let (key, tiebreak, arr) = match options.mode {
+                MapMode::Area => (a, 0.0, Arrival::ZERO),
+                MapMode::Delay => {
+                    let mut out = Arrival::NEG_INF;
+                    for (pi, (&vi, pin)) in m.inputs.iter().zip(gate.pins()).enumerate() {
+                        let t_in = self.mapper.input_arrival(e, vi, &self.arrival);
+                        let u = gate.unateness(pi);
+                        out = out.max(propagate(t_in, pin, u, cl));
+                    }
+                    (out.worst(), a, out)
+                }
+            };
+            if best.is_none_or(|(bk, bt, _, _)| {
+                key < bk - 1e-12 || (key < bk + 1e-12 && tiebreak < bt - 1e-12)
+            }) {
+                best = Some((key, tiebreak, mi, arr));
+            }
+        }
+        let (key, t, mi, arr) = best.ok_or(MapError::NoMatch { node: v.index() })?;
+        let i = v.index();
+        let (a, arr) = match options.mode {
+            MapMode::Area => (key, self.arrival[i]),
+            MapMode::Delay => (t, arr),
+        };
+        let changed =
+            a.to_bits() != self.area[i].to_bits() || arr.to_bits() != self.arrival[i].to_bits();
+        e.record_solve(v, mi, changed);
+        self.area[i] = a;
+        self.arrival[i] = arr;
+        Ok(())
+    }
+
+    fn position(&self, _: SubjectNodeId) -> (f64, f64) {
+        (0.0, 0.0)
     }
 }
 

@@ -3,14 +3,15 @@
 //! commitment into a [`MappedNetwork`].
 //!
 //! The engine owns everything that does not depend on the cost model:
-//! which nodes are visited in which order, how a chosen cover is turned
-//! into cells, how logic duplication (dove reincarnation) is handled,
-//! and which committed cells consume each subject signal (the *true
-//! fanout* bookkeeping of Section 3.3).
+//! which nodes are solved in which order ([`Engine::cover`] sweeps the
+//! scopes and calls a [`CostModel`] per node), how a chosen cover is
+//! turned into cells, how logic duplication (dove reincarnation) is
+//! handled, and which committed cells consume each subject signal (the
+//! *true fanout* bookkeeping of Section 3.3).
 //!
 //! # Incremental covering
 //!
-//! Cones overlap, so cone-by-cone covering visits shared logic once per
+//! Cones overlap, so cone-by-cone covering meets shared logic once per
 //! cone that contains it. A node's DP result is a pure function of what
 //! its matches read: the solutions, life-state class (egg/nestling,
 //! dove, hawk) and committed consumers of every node in
@@ -20,23 +21,39 @@
 //! whose state or consumers it touched, together with that node's
 //! fanins (whose true-fanout sets just changed), and
 //! [`Engine::record_solve`] bumps a node whose re-solve produced
-//! different bits. [`Engine::reuse`] then skips a visited node whose
-//! dependencies are all older than its last solve: its stored solution
-//! is exactly what a re-solve would produce. Only cone scopes revisit
-//! nodes, and they filter no matches, so the rule never has to account
-//! for [`Engine::match_allowed`]. A node is visited far more often than
-//! it is solved, so [`Engine::scopes`] lays the deduplicated dependency
-//! set of every node out once, as a CSR, when it hands out cones; the
-//! check then reads each dependency's version once per visit instead of
-//! once per match that reads it.
+//! different bits. A node whose dependencies are all older than its
+//! last solve is *clean*: its stored solution is exactly what a
+//! re-solve would produce, so the sweep leaves it alone.
+//!
+//! The sweep never walks a cone's full membership. Cone membership is
+//! one bitset row per node ([`ConeMembership`], bits in processing
+//! order), and a cone solves only
+//!
+//! * its *new members*, found by a DFS from the root that stops at
+//!   nodes an earlier cone reached (these are exactly its eggs), and
+//! * its *dirty frontier*: every version bump marks the bumped node and
+//!   its readers (the nodes whose dependency sets contain it, a reverse
+//!   CSR laid out once per map), each into the queue of the next cone,
+//!   in processing order, that contains it.
+//!
+//! Both kinds merge through a min-heap in ascending id (topological)
+//! order, so a solve that bumps a node marks its readers further down
+//! the same cone in time. A node is marked exactly when a clean check
+//! at its next cone would fail, so the covers are the ones a walk over
+//! every member with that check produces; test builds run that walk
+//! beside each cone and assert it. Only cone scopes revisit nodes, and
+//! they filter no matches, so the rule never has to account for
+//! [`Engine::match_allowed`].
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::error::MapError;
 use crate::matching::{Match, MatchIndex};
 use lily_cells::{CellId, Library, MappedCell, MappedNetwork, SignalSource};
 use lily_netlist::cones::{
-    cones, exit_line_matrix, maximal_trees, order_cones, ordering_cost, Cone, Tree,
+    cones, exit_line_matrix, maximal_trees, order_cones, ordering_cost, Cone, ConeMembership, Tree,
 };
 use lily_netlist::{
     LifeCycle, LifeCycleStats, NodeState, SubjectGraph, SubjectKind, SubjectNodeId,
@@ -80,8 +97,10 @@ pub struct MapStats {
     pub cuts: Option<lily_netlist::CutStats>,
     /// Node solves the covering DP actually ran.
     pub dp_solves: usize,
-    /// Node visits that reused the stored solution instead, because
-    /// nothing it depends on had changed since its last solve.
+    /// Cone memberships left unsolved on clean nodes: counted over every
+    /// cone, the members that were neither solved there nor already
+    /// mapped (hawks), because nothing they depend on had changed since
+    /// their last solve. 0 under the tree partition.
     pub dp_reused: usize,
 }
 
@@ -97,21 +116,13 @@ pub struct MapResult {
 /// One unit of covering work.
 #[derive(Debug, Clone)]
 pub enum Scope {
-    /// A logic cone.
+    /// A logic cone (its members live in the engine's membership rows).
     Cone(Cone),
     /// A maximal tree (with a membership mask for match filtering).
     Tree(Tree),
 }
 
 impl Scope {
-    /// Members in topological order (root last).
-    pub fn members(&self) -> &[SubjectNodeId] {
-        match self {
-            Scope::Cone(c) => &c.members,
-            Scope::Tree(t) => &t.members,
-        }
-    }
-
     /// The scope root.
     pub fn root(&self) -> SubjectNodeId {
         match self {
@@ -119,6 +130,27 @@ impl Scope {
             Scope::Tree(t) => t.root,
         }
     }
+}
+
+/// The cost model an [`Engine::cover`] sweep drives: how a node is
+/// solved and where its committed cell goes.
+pub trait CostModel {
+    /// Solves `v` in `scope`: picks its best match and records it with
+    /// [`Engine::record_solve`]. The sweep calls this for every node that
+    /// is not already mapped and whose stored solution is stale.
+    ///
+    /// # Errors
+    ///
+    /// [`MapError::NoMatch`] when no match at `v` is allowed in `scope`.
+    fn solve(
+        &mut self,
+        e: &mut Engine<'_>,
+        scope: &Scope,
+        v: SubjectNodeId,
+    ) -> Result<(), MapError>;
+
+    /// The position of the cell committed for `v`.
+    fn position(&self, v: SubjectNodeId) -> (f64, f64);
 }
 
 /// The shared covering state.
@@ -150,13 +182,27 @@ pub struct Engine<'a> {
     /// `po_index[po_start[v]..po_start[v + 1]]`.
     po_start: Vec<usize>,
     po_index: Vec<usize>,
-    /// Each node's dependency set — `m.inputs ∪ m.covered` over its
-    /// matches, deduplicated — as a CSR: node `v` depends on
-    /// `dep_list[dep_start[v]..dep_start[v + 1]]`. Built by
-    /// [`Engine::scopes`] for cone partitions only (trees never revisit
-    /// a node); empty otherwise.
-    dep_start: Vec<usize>,
-    dep_list: Vec<SubjectNodeId>,
+    /// The readers of each node — the nodes whose dependency set
+    /// (`m.inputs ∪ m.covered` over their matches) contains it — as a
+    /// CSR: `reader_list[reader_start[u]..reader_start[u + 1]]`, in
+    /// ascending id order. Built for cone partitions only (trees never
+    /// revisit a node); empty otherwise.
+    reader_start: Vec<usize>,
+    reader_list: Vec<SubjectNodeId>,
+    /// Cone membership with bits in processing order (no cones under
+    /// the tree partition).
+    membership: ConeMembership,
+    /// The first cone whose queue a mark may still join: the cone being
+    /// swept, or the next one while a cone commits.
+    rank: usize,
+    /// Whether each node waits in some cone's queue (or the sweep's
+    /// heap) already.
+    queued: Vec<bool>,
+    /// Per cone, the nodes marked into it before its sweep drained them.
+    queues: Vec<Vec<SubjectNodeId>>,
+    /// Cone memberships of nodes already mapped (hawks) when the cone is
+    /// swept; subtracted from the membership total for `dp_reused`.
+    hawk_memberships: usize,
     /// Version clock of the incremental DP; every solve and every
     /// commit takes a fresh tick.
     clock: u64,
@@ -212,8 +258,13 @@ impl<'a> Engine<'a> {
             fanouts: g.fanouts(),
             po_start,
             po_index,
-            dep_start: Vec::new(),
-            dep_list: Vec::new(),
+            reader_start: Vec::new(),
+            reader_list: Vec::new(),
+            membership: ConeMembership::new(g, &[]),
+            rank: 0,
+            queued: vec![false; n],
+            queues: Vec::new(),
+            hawk_memberships: 0,
             clock: 0,
             version: vec![0; n],
             solved_at: vec![0; n],
@@ -233,60 +284,175 @@ impl<'a> Engine<'a> {
         &self.po_index[self.po_start[v.index()]..self.po_start[v.index() + 1]]
     }
 
-    /// The covering scopes in processing order. Cones come in output
-    /// order, or in the exit-line-minimizing order of Lily's Section
-    /// 3.5 when `cone_ordering` is set (its objective lands in the
-    /// stats); trees come in topological (root id) order. Cones also
-    /// get the dependency sets [`Engine::reuse`] checks.
-    pub fn scopes(&mut self, partition: Partition, cone_ordering: bool) -> Vec<Scope> {
-        if partition == Partition::Cones && self.dep_start.is_empty() {
-            self.build_deps();
-        }
-        let scopes: Vec<Scope> = match partition {
-            Partition::Cones if cone_ordering => {
-                let mut cs = cones(self.g);
-                let m = exit_line_matrix(self.g, &cs);
-                let order = order_cones(&m);
-                self.stats.ordering_cost = Some(ordering_cost(&m, &order));
-                let mut rank = vec![0; order.len()];
-                for (r, &i) in order.iter().enumerate() {
-                    rank[i] = r;
+    /// Covers the graph scope by scope and finalizes. Cones come in
+    /// output order, or in the exit-line-minimizing order of Lily's
+    /// Section 3.5 when `cone_ordering` is set; trees in topological
+    /// (root id) order. Within a scope, `model` solves every node that
+    /// needs it in ascending id order (see the module docs); then the
+    /// cover rooted at the scope root is committed at `model`'s
+    /// positions.
+    ///
+    /// # Errors
+    ///
+    /// The first error `model` returns.
+    pub fn cover(
+        mut self,
+        partition: Partition,
+        cone_ordering: bool,
+        model: &mut dyn CostModel,
+    ) -> Result<MapResult, MapError> {
+        let scopes = self.scopes(partition, cone_ordering);
+        for (k, scope) in scopes.iter().enumerate() {
+            match scope {
+                Scope::Tree(t) => {
+                    for &v in &t.members {
+                        if self.visit(v) {
+                            model.solve(&mut self, scope, v)?;
+                        }
+                    }
                 }
-                cs.sort_unstable_by_key(|c| rank[c.output_index]);
+                Scope::Cone(c) => self.sweep_cone(k, c.root, scope, model)?,
+            }
+            self.rank = k + 1;
+            self.commit(scope.root(), &mut |v| model.position(v));
+        }
+        Ok(self.finish())
+    }
+
+    /// The covering scopes in processing order (see [`Engine::cover`]).
+    /// Cones also get the membership rows and reader lists the sweep
+    /// marks through.
+    fn scopes(&mut self, partition: Partition, cone_ordering: bool) -> Vec<Scope> {
+        let scopes: Vec<Scope> = match partition {
+            Partition::Cones => {
+                let mut cs = cones(self.g);
+                if cone_ordering {
+                    let m = exit_line_matrix(self.g, &ConeMembership::new(self.g, &cs));
+                    let order = order_cones(&m);
+                    self.stats.ordering_cost = Some(ordering_cost(&m, &order));
+                    cs = order.iter().map(|&i| cs[i]).collect();
+                }
+                self.membership = ConeMembership::new(self.g, &cs);
+                self.queues = vec![Vec::new(); cs.len()];
+                if self.reader_start.is_empty() {
+                    self.build_readers();
+                }
                 cs.into_iter().map(Scope::Cone).collect()
             }
-            Partition::Cones => cones(self.g).into_iter().map(Scope::Cone).collect(),
             Partition::Trees => maximal_trees(self.g).into_iter().map(Scope::Tree).collect(),
         };
         self.stats.scopes = scopes.len();
         scopes
     }
 
-    /// Lays out every node's deduplicated dependency set (see
-    /// `dep_list`), each in first-read order over its matches.
-    fn build_deps(&mut self) {
+    /// Lays out every node's readers (see `reader_list`): the
+    /// deduplicated dependency set of each node, transposed.
+    fn build_readers(&mut self) {
         let n = self.g.node_count();
         let mut last_reader = vec![usize::MAX; n];
-        self.dep_start = Vec::with_capacity(n + 1);
-        self.dep_start.push(0);
+        let mut deps = Vec::new();
+        let mut dep_start = Vec::with_capacity(n + 1);
+        dep_start.push(0);
+        let mut start = vec![0usize; n + 1];
         for v in 0..n {
             for m in self.idx.at(SubjectNodeId::from_index(v)) {
                 for &d in m.inputs.iter().chain(m.covered) {
                     if last_reader[d.index()] != v {
                         last_reader[d.index()] = v;
-                        self.dep_list.push(d);
+                        deps.push(d);
+                        start[d.index() + 1] += 1;
                     }
                 }
             }
-            self.dep_start.push(self.dep_list.len());
+            dep_start.push(deps.len());
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        self.reader_list = vec![SubjectNodeId::from_index(0); deps.len()];
+        for v in 0..n {
+            for d in &deps[dep_start[v]..dep_start[v + 1]] {
+                self.reader_list[fill[d.index()]] = SubjectNodeId::from_index(v);
+                fill[d.index()] += 1;
+            }
+        }
+        self.reader_start = start;
+    }
+
+    /// Where `u`'s readers sit in `reader_list` (nowhere before
+    /// [`Engine::scopes`] hands out cones).
+    fn reader_range(&self, u: SubjectNodeId) -> std::ops::Range<usize> {
+        match self.reader_start.get(u.index() + 1) {
+            Some(&end) => self.reader_start[u.index()]..end,
+            None => 0..0,
         }
     }
 
-    /// The deduplicated dependency set of `v` (`m.inputs ∪ m.covered`
-    /// over its matches), once [`Engine::scopes`] has handed out cones.
-    fn deps(&self, v: SubjectNodeId) -> Option<&[SubjectNodeId]> {
-        let end = *self.dep_start.get(v.index() + 1)?;
-        Some(&self.dep_list[self.dep_start[v.index()]..end])
+    /// Sweeps cone `k` (rooted at `root`): solves its new members and
+    /// its dirty frontier in ascending id order.
+    fn sweep_cone(
+        &mut self,
+        k: usize,
+        root: SubjectNodeId,
+        scope: &Scope,
+        model: &mut dyn CostModel,
+    ) -> Result<(), MapError> {
+        self.rank = k;
+        let mut heap: BinaryHeap<Reverse<SubjectNodeId>> =
+            self.queues[k].drain(..).map(Reverse).collect();
+        // New members: eggs reachable from the root through eggs. An
+        // earlier cone already reached every other node, and everything
+        // below it.
+        let mut stack = vec![root];
+        while let Some(u) = stack.pop() {
+            if self.life.state(u) != NodeState::Egg
+                || matches!(self.g.kind(u), SubjectKind::Input(_))
+            {
+                continue;
+            }
+            self.life.hatch(u);
+            if !self.queued[u.index()] {
+                self.queued[u.index()] = true;
+                heap.push(Reverse(u));
+            }
+            stack.extend(self.g.kind(u).fanins());
+        }
+        #[cfg(test)]
+        let mut oracle = tests::FrontierOracle::new(self, k);
+        loop {
+            heap.extend(self.queues[k].drain(..).map(Reverse));
+            let Some(Reverse(v)) = heap.pop() else { break };
+            #[cfg(test)]
+            oracle.before_solve(self, v);
+            if self.visit(v) {
+                model.solve(self, scope, v)?;
+            }
+            self.queued[v.index()] = false;
+        }
+        #[cfg(test)]
+        oracle.finish(self);
+        Ok(())
+    }
+
+    /// Marks `u` dirty: queues it for the next cone, at or after the
+    /// current rank, that contains it. Hawks are never solved again, and
+    /// a node already queued will see the change when its cone comes.
+    fn mark(&mut self, u: SubjectNodeId) {
+        if self.queued[u.index()] || self.life.state(u) == NodeState::Hawk {
+            return;
+        }
+        if let Some(next) = self.membership.next_cone(u, self.rank) {
+            self.queued[u.index()] = true;
+            self.queues[next].push(u);
+        }
+    }
+
+    /// Marks every reader of `u` (see [`Engine::mark`]).
+    fn mark_readers(&mut self, u: SubjectNodeId) {
+        for i in self.reader_range(u) {
+            self.mark(self.reader_list[i]);
+        }
     }
 
     /// Prepares node `v` for (re-)solving in the current scope:
@@ -301,7 +467,7 @@ impl<'a> Engine<'a> {
     pub fn visit(&mut self, v: SubjectNodeId) -> bool {
         match self.life.state(v) {
             NodeState::Hawk => false,
-            NodeState::Nestling => true, // shared node already visited this cone
+            NodeState::Nestling => true, // hatched by this cone's DFS, or an earlier cone
             NodeState::Dove => {
                 self.solved[v.index()] = false;
                 true
@@ -314,36 +480,16 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Whether `v`'s stored DP solution is still exactly what a re-solve
-    /// would produce: `v` was solved before and no node its matches read
-    /// has changed since (see the module docs). On `true` the node
-    /// counts as solved for the current scope, keeping its `chosen`
-    /// match; call after [`Engine::visit`].
-    pub fn reuse(&mut self, v: SubjectNodeId) -> bool {
-        let at = self.solved_at[v.index()];
-        let fresh = |d: &SubjectNodeId| self.version[d.index()] <= at;
-        let valid = at > 0
-            && fresh(&v)
-            && match self.deps(v) {
-                Some(deps) => deps.iter().all(fresh),
-                None => self.idx.at(v).iter().all(|m| m.inputs.iter().chain(m.covered).all(fresh)),
-            };
-        if valid {
-            self.solved[v.index()] = true;
-            self.stats.dp_reused += 1;
-        }
-        valid
-    }
-
     /// Records a fresh solve of `v` that chose match `mi`. `changed`
     /// tells whether the cost model's stored solution differs in any bit
     /// from the previous one; a first solve, a changed solution or a
-    /// different match invalidates every node that reads `v`.
+    /// different match invalidates (marks) every node that reads `v`.
     pub fn record_solve(&mut self, v: SubjectNodeId, mi: usize, changed: bool) {
         let i = v.index();
         self.clock += 1;
         if changed || self.solved_at[i] == 0 || self.chosen[i] != mi {
             self.version[i] = self.clock;
+            self.mark_readers(v);
         }
         self.solved_at[i] = self.clock;
         self.chosen[i] = mi;
@@ -377,7 +523,8 @@ impl<'a> Engine<'a> {
     /// Commits the chosen cover rooted at `v`, creating cells bottom-up.
     /// `pos_of(v)` supplies each new cell's position. Returns the signal
     /// carrying `v`'s value. Every node whose state or consumers changed
-    /// gets a new version, as do its fanins.
+    /// gets a new version, as do its fanins; each is marked, with its
+    /// readers.
     ///
     /// # Panics
     ///
@@ -392,13 +539,23 @@ impl<'a> Engine<'a> {
         if !self.touched.is_empty() {
             self.clock += 1;
             for w in std::mem::take(&mut self.touched) {
-                self.version[w.index()] = self.clock;
+                self.bump(w);
                 for u in self.g.kind(w).fanins() {
-                    self.version[u.index()] = self.clock;
+                    self.bump(u);
                 }
             }
         }
         signal
+    }
+
+    /// Gives `u` the current tick, marking it and its readers the first
+    /// time in this tick.
+    fn bump(&mut self, u: SubjectNodeId) {
+        if self.version[u.index()] != self.clock {
+            self.version[u.index()] = self.clock;
+            self.mark(u);
+            self.mark_readers(u);
+        }
     }
 
     fn commit_cover(
@@ -428,6 +585,7 @@ impl<'a> Engine<'a> {
             m.inputs.iter().map(|&vi| self.commit_cover(idx, vi, pos_of)).collect();
         let cell = self.mapped.add_cell(MappedCell { gate: m.gate, fanins, position: pos_of(v) });
         self.life.commit_hawk(v);
+        self.hawk_memberships += self.membership.count_from(v, self.rank);
         self.cell_of[v.index()] = Some(cell);
         self.touched.push(v);
         for (pin, &vi) in m.inputs.iter().enumerate() {
@@ -471,6 +629,10 @@ impl<'a> Engine<'a> {
             self.mapped.add_output(o.name.clone(), sig);
         }
         self.stats.lifecycle = self.life.stats();
+        if self.membership.cone_count() > 0 {
+            self.stats.dp_reused =
+                self.membership.memberships() - self.hawk_memberships - self.stats.dp_solves;
+        }
         MapResult { mapped: self.mapped, stats: self.stats }
     }
 }
@@ -478,6 +640,108 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Cone sweeps the frontier oracle checked on this thread.
+        static FRONTIER_CHECKS: Cell<usize> = const { Cell::new(0) };
+        /// Clean members the oracle's full walks met on this thread.
+        static CLEAN_MEMBERS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Whether `v`'s stored solution is still exactly what a re-solve
+    /// would produce: `v` was solved before and no node its matches read
+    /// has changed since.
+    fn clean(e: &Engine, v: SubjectNodeId) -> bool {
+        let at = e.solved_at[v.index()];
+        let fresh = |d: &SubjectNodeId| e.version[d.index()] <= at;
+        at > 0
+            && fresh(&v)
+            && e.idx.at(v).iter().all(|m| m.inputs.iter().chain(m.covered).all(fresh))
+    }
+
+    /// The oracle of the dirty frontier. Beside each cone sweep it walks
+    /// the cone's full membership in id order, as a sweep without a
+    /// frontier would, and asserts that the nodes the sweep solves are
+    /// exactly the members that are neither hawks nor [`clean`] when
+    /// that walk reaches them.
+    pub(super) struct FrontierOracle {
+        cone: usize,
+        members: Vec<SubjectNodeId>,
+        next: usize,
+    }
+
+    impl FrontierOracle {
+        pub(super) fn new(e: &Engine, cone: usize) -> Self {
+            Self { cone, members: e.membership.members(cone).collect(), next: 0 }
+        }
+
+        /// Walks the members below `v`, which the sweep skips.
+        fn skip_below(&mut self, e: &Engine, v: Option<SubjectNodeId>) {
+            while let Some(&u) =
+                self.members.get(self.next).filter(|&&u| Some(u) < v || v.is_none())
+            {
+                let hawk = e.life.state(u) == NodeState::Hawk;
+                assert!(hawk || clean(e, u), "cone {}: stale member {u} skipped", self.cone);
+                CLEAN_MEMBERS.with(|n| n.set(n.get() + usize::from(!hawk)));
+                self.next += 1;
+            }
+        }
+
+        /// The sweep is about to solve `v`.
+        pub(super) fn before_solve(&mut self, e: &Engine, v: SubjectNodeId) {
+            self.skip_below(e, Some(v));
+            let cone = self.cone;
+            assert_eq!(self.members.get(self.next), Some(&v), "cone {cone}: {v} is no member");
+            assert_ne!(e.life.state(v), NodeState::Hawk, "cone {cone}: hawk {v} queued");
+            assert!(!clean(e, v), "cone {cone}: clean member {v} queued");
+            self.next += 1;
+        }
+
+        /// The sweep of the cone is done.
+        pub(super) fn finish(mut self, e: &Engine) {
+            self.skip_below(e, None);
+            FRONTIER_CHECKS.with(|n| n.set(n.get() + 1));
+        }
+    }
+
+    #[test]
+    fn the_frontier_solves_exactly_the_stale_members() {
+        use crate::{CutMapper, LilyMapper, MisMapper};
+        use lily_netlist::decompose::{decompose, DecomposeOrder};
+        use lily_place::Point;
+        use lily_workloads::{circuits, scale_circuit, ScaleFamily};
+        let (big, big_1u) = (Library::big(), Library::big_1u());
+        for net in [scale_circuit(ScaleFamily::RandomDag, 400, 1), circuits::circuit("C432")] {
+            let g = decompose(&net, DecomposeOrder::Balanced).unwrap();
+            let place: Vec<Point> = (0..g.node_count())
+                .map(|i| Point::new(((i * 37) % 23) as f64 * 50.0, ((i * 11) % 19) as f64 * 50.0))
+                .collect();
+            let pads: Vec<Point> =
+                (0..g.outputs().len()).map(|i| Point::new(1200.0, i as f64 * 30.0)).collect();
+            let (checks, clean) = (FRONTIER_CHECKS.with(Cell::get), CLEAN_MEMBERS.with(Cell::get));
+            let runs = [
+                ("mis area", MisMapper::new(&big).map(&g)),
+                ("mis delay", MisMapper::new(&big_1u).mode(MapMode::Delay).map(&g)),
+                ("lily area", LilyMapper::new(&big).map(&g, &place, &pads)),
+                (
+                    "lily delay",
+                    LilyMapper::new(&big_1u).mode(MapMode::Delay).map(&g, &place, &pads),
+                ),
+                ("cut area", CutMapper::new(&big).map(&g, &place, &pads)),
+            ];
+            let mut scopes = 0;
+            let mut reused = 0;
+            for (what, r) in runs {
+                let stats = r.unwrap_or_else(|err| panic!("{what}: {err}")).stats;
+                assert!(stats.dp_reused > 0, "{}/{what}: nothing clean", net.name());
+                scopes += stats.scopes;
+                reused += stats.dp_reused;
+            }
+            assert_eq!(FRONTIER_CHECKS.with(Cell::get) - checks, scopes, "{}", net.name());
+            assert_eq!(CLEAN_MEMBERS.with(Cell::get) - clean, reused, "{}: dp_reused", net.name());
+        }
+    }
 
     fn graph() -> SubjectGraph {
         let mut g = SubjectGraph::new("g");
@@ -568,13 +832,6 @@ mod tests {
 
     #[test]
     fn reuse_tracks_changed_solves_and_commits() {
-        // Once on the match scan, once on the dependency CSR that
-        // `scopes` builds for cones.
-        reuse_scenario(false);
-        reuse_scenario(true);
-    }
-
-    fn reuse_scenario(cone_scopes: bool) {
         // shared = nand(a, b) feeds y1 = inv(shared) and y2 = nand(shared, c).
         let mut g = SubjectGraph::new("g");
         let a = g.add_input("a");
@@ -587,68 +844,78 @@ mod tests {
         g.set_output("y2", y2);
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
-        if cone_scopes {
-            e.scopes(Partition::Cones, false);
-        }
-        assert_eq!(e.deps(shared).is_some(), cone_scopes);
-        // The base-function match: one gate per node, nothing absorbed.
+        e.scopes(Partition::Cones, false); // cone 0 = {shared, y1}, cone 1 = {shared, y2}
+                                           // The base-function match: one gate per node, nothing absorbed.
         let base = |e: &Engine, v: SubjectNodeId| {
             e.idx.at(v).iter().position(|m| m.covered.len() == 1).unwrap()
         };
+        // Solves as a sweep runs them: the node is queued for the current
+        // cone while it solves, so it never marks itself.
+        let solve = |e: &mut Engine, v: SubjectNodeId, changed: bool| {
+            assert!(e.visit(v));
+            e.queued[v.index()] = true;
+            e.record_solve(v, base(e, v), changed);
+            e.queued[v.index()] = false;
+        };
+        // The first solve of `shared` marks both readers, each into its
+        // first cone.
+        solve(&mut e, shared, true);
+        assert_eq!((&e.queues[0][..], &e.queues[1][..]), (&[y1][..], &[y2][..]));
+        assert!(e.queued[y1.index()] && e.queued[y2.index()]);
+        assert!(!clean(&e, y1) && clean(&e, shared));
 
-        assert!(e.visit(shared) && !e.reuse(shared), "never solved");
-        e.record_solve(shared, base(&e, shared), true);
-        assert!(e.reuse(shared), "nothing changed since its solve");
-        assert!(e.visit(y2));
-        e.record_solve(y2, base(&e, y2), true);
-        assert!(e.reuse(y2));
+        // y1 solves; a re-solve of `shared` that reproduced its bits
+        // marks nothing, one that changed them marks y1 again.
+        e.queues[0].clear();
+        e.queued[y1.index()] = false;
+        solve(&mut e, y1, true);
+        solve(&mut e, shared, false);
+        assert!(e.queues[0].is_empty() && clean(&e, y1));
+        solve(&mut e, shared, true);
+        assert_eq!(e.queues[0], [y1]);
+        assert!(!clean(&e, y1));
+        e.queues[0].clear();
+        e.queued[y1.index()] = false;
+        solve(&mut e, y1, false);
 
-        // A re-solve of `shared` that changed bits invalidates its reader.
-        e.record_solve(shared, base(&e, shared), true);
-        assert!(e.reuse(shared) && !e.reuse(y2));
-        e.record_solve(y2, base(&e, y2), false);
-        // One that reproduced the same bits does not.
-        e.record_solve(shared, base(&e, shared), false);
-        assert!(e.reuse(y2));
-
-        // Committing y1 makes `shared` a hawk with a consumer: y2 prices
-        // that net, so it must re-solve.
-        assert!(e.visit(y1));
-        e.record_solve(y1, base(&e, y1), true);
+        // Committing cone 0 makes `shared` a hawk with a consumer: y2
+        // prices that net, so it stays marked for cone 1; the hawks are
+        // not marked at all.
+        e.rank = 1;
         e.commit(y1, &mut |_| (0.0, 0.0));
         assert_eq!(e.life.state(shared), NodeState::Hawk);
-        assert!(!e.reuse(y2));
-
-        e.record_solve(y2, base(&e, y2), false);
+        assert_eq!(e.queues[1], [y2]);
+        assert!(e.queues[0].is_empty() && !e.queued[shared.index()]);
+        // Cone 1 solves y2 only; `shared` was mapped in cone 0.
+        e.queues[1].clear();
+        e.queued[y2.index()] = false;
+        solve(&mut e, y2, true);
+        e.rank = 2;
         e.commit(y2, &mut |_| (0.0, 0.0));
-        let stats = e.finish().stats;
-        assert_eq!((stats.dp_solves, stats.dp_reused), (7, 4));
+        assert!(e.queues.iter().all(Vec::is_empty));
+        // Of the 4 memberships, one is `shared`'s in cone 1, a hawk by
+        // then; a sweep's `dp_reused` is what its solves leave of the
+        // other 3 (these hand-driven re-solves outnumber them).
+        assert_eq!((e.membership.memberships(), e.hawk_memberships), (4, 1));
+        assert_eq!(e.stats.dp_solves, 6);
     }
 
     #[test]
-    fn deps_list_every_dependency_once() {
+    fn readers_transpose_every_dependency_set() {
         let g = graph();
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
         e.scopes(Partition::Trees, false);
-        assert!(g.node_ids().all(|v| e.deps(v).is_none()), "trees build no dependency sets");
+        assert!(g.node_ids().all(|v| e.reader_range(v).is_empty()), "trees build no readers");
         e.scopes(Partition::Cones, false);
-        for v in g.node_ids() {
-            let deps = e.deps(v).unwrap();
-            let mut want: Vec<SubjectNodeId> = e
-                .idx
-                .at(v)
-                .iter()
-                .flat_map(|m| m.inputs.iter().chain(m.covered))
-                .copied()
+        for u in g.node_ids() {
+            let want: Vec<SubjectNodeId> = g
+                .node_ids()
+                .filter(|&v| {
+                    e.idx.at(v).iter().any(|m| m.inputs.iter().chain(m.covered).any(|&d| d == u))
+                })
                 .collect();
-            want.sort_unstable();
-            want.dedup();
-            let mut got = deps.to_vec();
-            got.sort_unstable();
-            got.dedup();
-            assert_eq!(got.len(), deps.len(), "{v}: duplicates");
-            assert_eq!(got, want, "{v}");
+            assert_eq!(e.reader_list[e.reader_range(u)], want, "{u}");
         }
     }
 
@@ -668,24 +935,34 @@ mod tests {
         assert!(e.outputs_of(b).is_empty());
     }
 
+    /// A trivial cost rule: the first match everywhere.
+    struct FirstMatch;
+
+    impl CostModel for FirstMatch {
+        fn solve(
+            &mut self,
+            e: &mut Engine<'_>,
+            _: &Scope,
+            v: SubjectNodeId,
+        ) -> Result<(), MapError> {
+            e.record_solve(v, 0, false);
+            Ok(())
+        }
+
+        fn position(&self, _: SubjectNodeId) -> (f64, f64) {
+            (0.0, 0.0)
+        }
+    }
+
     #[test]
     fn commit_builds_equivalent_netlist() {
-        // Drive the engine by hand with a trivial cost rule: first match.
         let g = graph();
         let lib = Library::big();
-        let mut e = Engine::new(&g, &lib).unwrap();
-        let scopes = e.scopes(Partition::Cones, false);
-        for s in &scopes {
-            for &v in s.members() {
-                if e.visit(v) {
-                    e.chosen[v.index()] = 0;
-                    e.solved[v.index()] = true;
-                }
-            }
-            e.commit(s.root(), &mut |_| (0.0, 0.0));
+        for partition in [Partition::Cones, Partition::Trees] {
+            let e = Engine::new(&g, &lib).unwrap();
+            let r = e.cover(partition, false, &mut FirstMatch).unwrap();
+            assert!(lily_cells::mapped::equiv_mapped_subject(&g, &r.mapped, &lib, 64, 7));
+            assert!(r.stats.lifecycle.hawks >= 1);
         }
-        let r = e.finish();
-        assert!(lily_cells::mapped::equiv_mapped_subject(&g, &r.mapped, &lib, 64, 7));
-        assert!(r.stats.lifecycle.hawks >= 1);
     }
 }

@@ -79,11 +79,12 @@ pub struct PhysicalOptions {
     /// Subject-graph node count above which a cone covering partition
     /// is demoted to maximal trees (with an audited degradation). Logic
     /// cones overlap — one per output, each holding the output's whole
-    /// transitive fanin — so cone extraction and the covering sweep are
-    /// Θ(outputs × nodes) on shared logic, which turns quadratic at
-    /// scale. The DAGON tree partition is disjoint (Σ|tree| = nodes)
-    /// and keeps covering linear at the cost of forbidding matches
-    /// that cross multi-fanout boundaries.
+    /// transitive fanin — so their membership bitsets take Θ(outputs ×
+    /// nodes) bits and the exit-line matrix Θ(outputs²) entries, which
+    /// turns quadratic at scale (the covering sweep itself visits only
+    /// new and invalidated nodes). The DAGON tree partition is disjoint
+    /// (Σ|tree| = nodes) and keeps covering linear at the cost of
+    /// forbidding matches that cross multi-fanout boundaries.
     pub cone_partition_max_nodes: usize,
 }
 

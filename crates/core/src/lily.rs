@@ -41,7 +41,7 @@
 //! `cap_h`, `cap_v` or `pin_cap`. Test builds price every skipped match
 //! in full and assert that it would not have won.
 
-use crate::cover::{Engine, MapMode, MapResult, Partition, Scope};
+use crate::cover::{CostModel, Engine, MapMode, MapResult, Partition, Scope};
 use crate::error::MapError;
 use crate::matching::{Match, MatchSlot};
 use crate::position::{center_of_mass, manhattan_median_with, PositionUpdate};
@@ -709,35 +709,56 @@ impl<'a> Site<'a> {
 /// pricing and delay re-evaluation are cost-model code and apply to any
 /// `Match`, tree-shaped or not.
 pub(crate) fn run_placed_dp(
-    mut e: Engine<'_>,
+    e: Engine<'_>,
     options: &MapOptions,
     place: &[Point],
     output_pads: &[Point],
 ) -> Result<MapResult, MapError> {
-    // Cones in the exit-line order of Section 3.5 when enabled.
-    let scopes = e.scopes(options.partition, options.layout.cone_ordering);
     let n = e.g.node_count();
-    let mut sol: Vec<Solution> = vec![Solution::default(); n];
-    let mut table = FanoutTable::new(n);
-    let mut scratch = Scratch::default();
-
-    for scope in &scopes {
-        for &v in scope.members() {
-            if !e.visit(v) || e.reuse(v) {
-                continue;
-            }
-            let site = Site::new(&e, &sol, place, output_pads, options, v);
-            let (mi, s) = site.solve(scope, &mut table, &mut scratch)?;
-            e.record_solve(v, mi, !s.same_bits(&sol[v.index()]));
-            sol[v.index()] = s;
-        }
-        // Step 5 of §4.4 / commit: realize the chosen cover at the
-        // stored mapPositions.
-        let sol_pos = |v: SubjectNodeId| -> (f64, f64) { sol[v.index()].map_pos.into() };
-        e.commit(scope.root(), &mut |v| sol_pos(v));
-    }
-    Ok(e.finish())
+    let mut dp = PlacedDp {
+        options,
+        place,
+        output_pads,
+        sol: vec![Solution::default(); n],
+        table: FanoutTable::new(n),
+        scratch: Scratch::default(),
+    };
+    // Cones in the exit-line order of Section 3.5 when enabled.
+    e.cover(options.partition, options.layout.cone_ordering, &mut dp)
 }
+
+/// The state of [`run_placed_dp`]: every node's stored solution and the
+/// pricing buffers reused across solves.
+struct PlacedDp<'o> {
+    options: &'o MapOptions,
+    place: &'o [Point],
+    output_pads: &'o [Point],
+    sol: Vec<Solution>,
+    table: FanoutTable,
+    scratch: Scratch,
+}
+
+impl CostModel for PlacedDp<'_> {
+    fn solve(
+        &mut self,
+        e: &mut Engine<'_>,
+        scope: &Scope,
+        v: SubjectNodeId,
+    ) -> Result<(), MapError> {
+        let site = Site::new(e, &self.sol, self.place, self.output_pads, self.options, v);
+        let (mi, s) = site.solve(scope, &mut self.table, &mut self.scratch)?;
+        e.record_solve(v, mi, !s.same_bits(&self.sol[v.index()]));
+        self.sol[v.index()] = s;
+        Ok(())
+    }
+
+    /// Step 5 of §4.4 / commit: the chosen cover is realized at the
+    /// stored mapPositions.
+    fn position(&self, v: SubjectNodeId) -> (f64, f64) {
+        self.sol[v.index()].map_pos.into()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -181,17 +181,16 @@ mod tests {
         let (g, place, pads) = setup();
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
-        // Commit the inverter cone by hand (chosen match 0 everywhere).
-        let scopes = e.scopes(crate::cover::Partition::Cones, false);
-        let cone0 = &scopes[0];
-        for &v in cone0.members() {
+        // Commit the inverter cone by hand (base matches everywhere).
+        let shared = SubjectNodeId::from_index(3);
+        let inv = SubjectNodeId::from_index(4);
+        for v in [shared, inv] {
             if e.visit(v) {
                 e.chosen[v.index()] = pick_base_match(&e, v);
                 e.solved[v.index()] = true;
             }
         }
-        e.commit(cone0.root(), &mut |_| (77.0, 7.0));
-        let shared = SubjectNodeId::from_index(3);
+        e.commit(inv, &mut |_| (77.0, 7.0));
         let fans = true_fanouts(&e, shared, &[], &place, &pads);
         // The committed inverter (at 77,7) plus the egg nand.
         assert_eq!(fans.count(), 2);

@@ -432,10 +432,10 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Ma
     ) -> Result<Self::Out, MapError> {
         let lib = ctx.lib;
         let mut options = ctx.options;
-        // Logic cones overlap, so cone covering is Θ(outputs × nodes)
-        // on shared logic; past the ceiling the disjoint tree partition
-        // keeps the sweep linear. Audited: the trade costs match
-        // freedom across multi-fanout boundaries.
+        // Logic cones overlap, so their membership is Θ(outputs × nodes)
+        // bits on shared logic; past the ceiling the disjoint tree
+        // partition keeps covering linear. Audited: the trade costs
+        // match freedom across multi-fanout boundaries.
         if options.partition == Partition::Cones
             && g.node_count() > options.physical.cone_partition_max_nodes
         {

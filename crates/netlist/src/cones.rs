@@ -6,6 +6,11 @@
 //! instead partitions into *maximal trees* at multi-fanout nodes. Both
 //! partitions are provided here.
 //!
+//! Cones overlap heavily, so their members are not listed per cone:
+//! [`ConeMembership`] keeps one bitset row per node, with bit `i` set
+//! when cone `i` contains the node, built in one reverse-topological OR
+//! pass.
+//!
 //! Section 3.5 of the paper orders cones so that the number of *exit
 //! lines* (edges leaving an already-mapped cone into a not-yet-mapped
 //! one) is minimized, making the fanin rectangles built during mapping
@@ -15,15 +20,14 @@
 
 use crate::subject::{SubjectGraph, SubjectKind, SubjectNodeId};
 
-/// One logic cone: a primary output plus its transitive fanin.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One logic cone: a primary output plus its transitive fanin. Which
+/// nodes that is lives in a [`ConeMembership`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cone {
     /// Index of the primary output this cone feeds.
     pub output_index: usize,
     /// The node driving the output.
     pub root: SubjectNodeId,
-    /// All non-input member nodes in topological order (root last).
-    pub members: Vec<SubjectNodeId>,
 }
 
 /// One maximal tree of the DAGON partition.
@@ -36,32 +40,106 @@ pub struct Tree {
     pub members: Vec<SubjectNodeId>,
 }
 
-/// Extracts the logic cone of every primary output.
+/// The logic cone of every primary output, in output order.
 ///
-/// Outputs driven directly by a primary input produce an empty-member
-/// cone whose root is that input.
+/// An output driven directly by a primary input has an empty cone
+/// whose root is that input.
 pub fn cones(g: &SubjectGraph) -> Vec<Cone> {
     g.outputs()
         .iter()
         .enumerate()
-        .map(|(oi, o)| {
-            let mut seen = vec![false; g.node_count()];
-            let mut stack = vec![o.driver];
-            let mut members = Vec::new();
-            while let Some(n) = stack.pop() {
-                if seen[n.index()] {
-                    continue;
-                }
-                seen[n.index()] = true;
-                if !matches!(g.kind(n), SubjectKind::Input(_)) {
-                    members.push(n);
-                    stack.extend(g.kind(n).fanins());
+        .map(|(oi, o)| Cone { output_index: oi, root: o.driver })
+        .collect()
+}
+
+/// Which of a list of cones contain each node: one word-packed bitset
+/// row per node, bit `i` set when the `i`-th cone of the list contains
+/// the node. Primary inputs belong to no cone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConeMembership {
+    cones: usize,
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl ConeMembership {
+    /// Computes the membership of `cones` (in that order) in one
+    /// reverse-topological pass: a node's row is the OR of its fanouts'
+    /// rows plus the bits of the cones it roots.
+    pub fn new(g: &SubjectGraph, cones: &[Cone]) -> Self {
+        let words = cones.len().div_ceil(64);
+        let mut rows = vec![0u64; g.node_count() * words];
+        let internal = |v: SubjectNodeId| !matches!(g.kind(v), SubjectKind::Input(_));
+        for (i, c) in cones.iter().enumerate() {
+            if internal(c.root) {
+                rows[c.root.index() * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+        for v in (0..g.node_count()).rev().map(SubjectNodeId::from_index) {
+            // A fanin has a smaller id than its fanouts: its row sits
+            // below `v`'s.
+            let (below, from_v) = rows.split_at_mut(v.index() * words);
+            let rv = &from_v[..words];
+            for u in g.kind(v).fanins().filter(|&u| internal(u)) {
+                for (a, &b) in below[u.index() * words..][..words].iter_mut().zip(rv) {
+                    *a |= b;
                 }
             }
-            members.sort_unstable(); // creation order == topological order
-            Cone { output_index: oi, root: o.driver, members }
-        })
-        .collect()
+        }
+        Self { cones: cones.len(), words, rows }
+    }
+
+    /// Number of cones.
+    pub fn cone_count(&self) -> usize {
+        self.cones
+    }
+
+    /// The bitset row of `v`: bit `i` (word `i / 64`, bit `i % 64`) is
+    /// set when cone `i` contains `v`.
+    pub fn row(&self, v: SubjectNodeId) -> &[u64] {
+        &self.rows[v.index() * self.words..][..self.words]
+    }
+
+    /// Whether cone `cone` contains `v`.
+    pub fn contains(&self, cone: usize, v: SubjectNodeId) -> bool {
+        self.row(v)[cone / 64] >> (cone % 64) & 1 == 1
+    }
+
+    /// The first cone at or after `from` that contains `v`, if any.
+    pub fn next_cone(&self, v: SubjectNodeId, from: usize) -> Option<usize> {
+        let row = self.row(v);
+        let mut w = from / 64;
+        let mut bits = *row.get(w)? & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *row.get(w)?;
+        }
+    }
+
+    /// Number of cones at or after `from` that contain `v`.
+    pub fn count_from(&self, v: SubjectNodeId, from: usize) -> usize {
+        let row = self.row(v);
+        let w = from / 64;
+        let Some(&first) = row.get(w) else { return 0 };
+        let rest: u32 = row[w + 1..].iter().map(|b| b.count_ones()).sum();
+        (rest + (first >> (from % 64)).count_ones()) as usize
+    }
+
+    /// The members of cone `cone` in ascending id (topological) order,
+    /// root last. Scans every row: for checks and tests, not for sweeps.
+    pub fn members(&self, cone: usize) -> impl Iterator<Item = SubjectNodeId> + '_ {
+        (0..self.rows.len() / self.words.max(1))
+            .map(SubjectNodeId::from_index)
+            .filter(move |&v| self.contains(cone, v))
+    }
+
+    /// Total number of (cone, member) pairs: the sum of all cone sizes.
+    pub fn memberships(&self) -> usize {
+        self.rows.iter().map(|b| b.count_ones() as usize).sum()
+    }
 }
 
 /// Partitions the internal nodes into maximal trees by cutting every
@@ -101,42 +179,80 @@ pub fn maximal_trees(g: &SubjectGraph) -> Vec<Tree> {
     trees
 }
 
-/// Builds the asymmetric exit-line matrix `E` of Section 3.5:
-/// `E[i][j]` is the number of edges from a node in cone `i` to a node
-/// outside cone `i` that belongs to cone `j`. Diagonal entries are zero.
-///
-/// Works from per-node cone-membership bitsets: an edge `u → v` adds one
-/// at every `(i, j)` with `i ∈ cones(u) ∖ cones(v)` and `j ∈ cones(v)`,
-/// so the cost is one word-wise difference per edge plus the entries
-/// actually incremented, not a scan of every cone per edge.
-pub fn exit_line_matrix(g: &SubjectGraph, cones: &[Cone]) -> Vec<Vec<usize>> {
-    let words = cones.len().div_ceil(64);
-    // Bit `i` of node `v`'s row is set when cone `i` contains `v`.
-    // Primary inputs belong to no cone, so their edges never exit.
-    let mut member = vec![0u64; g.node_count() * words];
-    for (ci, cone) in cones.iter().enumerate() {
-        for &m in &cone.members {
-            member[m.index() * words + ci / 64] |= 1 << (ci % 64);
-        }
-    }
-    let row = |v: SubjectNodeId| &member[v.index() * words..(v.index() + 1) * words];
+/// The asymmetric exit-line matrix `E` of Section 3.5, row-major in
+/// one flat array: `E[i][j]` is the number of edges from a node in cone
+/// `i` to a node outside cone `i` that belongs to cone `j`. Diagonal
+/// entries are zero.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExitLines {
+    n: usize,
+    e: Vec<u32>,
+}
 
-    let mut e = vec![vec![0usize; cones.len()]; cones.len()];
+impl ExitLines {
+    /// The `n × n` matrix with `E[i][j] = f(i, j)`.
+    pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> u32) -> Self {
+        Self { n, e: (0..n * n).map(|k| f(k / n, k % n)).collect() }
+    }
+
+    /// Number of cones (rows and columns).
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Whether the matrix has no cones.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Row `i`: the exit lines from cone `i` into every cone.
+    pub fn row(&self, i: usize) -> &[u32] {
+        &self.e[i * self.n..][..self.n]
+    }
+}
+
+/// Builds the exit-line matrix of the cones `m` describes.
+///
+/// An edge `u → v` adds one at every `(i, j)` with `i ∈ cones(u) ∖
+/// cones(v)` and `j ∈ cones(v)`. Every node of a maximal tree has the
+/// membership of the tree root (it feeds nothing else), so the edges
+/// into one tree share their targets: their exits are counted per cone
+/// first, and each exited cone's row then takes one pass over the
+/// targets. The cost is one word-wise difference per edge plus the
+/// entries actually incremented, not a scan of every cone per edge.
+/// Primary inputs belong to no cone, so their edges never exit.
+pub fn exit_line_matrix(g: &SubjectGraph, m: &ConeMembership) -> ExitLines {
+    let n = m.cone_count();
+    let mut e = vec![0u32; n * n];
+    let mut exits = vec![0u32; n];
+    let mut exited = Vec::new();
     let mut targets = Vec::new();
-    for v in g.node_ids() {
-        let rv = row(v);
-        targets.clear();
-        targets.extend(set_bits(rv.iter().copied()));
-        for u in g.kind(v).fanins() {
-            let exits = row(u).iter().zip(rv).map(|(&a, &b)| a & !b);
-            for i in set_bits(exits) {
-                for &j in &targets {
-                    e[i][j] += 1;
+    for tree in maximal_trees(g) {
+        let rv = m.row(tree.root);
+        if rv.iter().all(|&b| b == 0) {
+            continue;
+        }
+        for &v in &tree.members {
+            for u in g.kind(v).fanins() {
+                for i in set_bits(m.row(u).iter().zip(rv).map(|(&a, &b)| a & !b)) {
+                    if exits[i] == 0 {
+                        exited.push(i);
+                    }
+                    exits[i] += 1;
                 }
             }
         }
+        targets.clear();
+        targets.extend(set_bits(rv.iter().copied()));
+        for i in exited.drain(..) {
+            let row = &mut e[i * n..][..n];
+            for &j in &targets {
+                row[j] += exits[i];
+            }
+            exits[i] = 0;
+        }
     }
-    e
+    ExitLines { n, e }
 }
 
 /// Indices of the set bits of a word-packed bitset, ascending.
@@ -159,21 +275,17 @@ fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
 ///
 /// Runs in O(C²): every row sum is kept up to date by subtracting the
 /// emitted cone's column instead of being recomputed per round.
-pub fn order_cones(e: &[Vec<usize>]) -> Vec<usize> {
+pub fn order_cones(e: &ExitLines) -> Vec<usize> {
     let n = e.len();
     // row[i] = Σ e[i][j] over the cones j not yet emitted.
-    let mut row: Vec<usize> = e.iter().map(|r| r.iter().sum()).collect();
+    let mut row: Vec<u64> = (0..n).map(|i| e.row(i).iter().map(|&x| u64::from(x)).sum()).collect();
     let mut emitted = vec![false; n];
     let mut order = Vec::with_capacity(n);
-    for _ in 0..n {
-        let best = (0..n)
-            .filter(|&i| !emitted[i])
-            .min_by_key(|&i| (row[i], i))
-            .expect("a cone remains each round");
+    while let Some(best) = (0..n).filter(|&i| !emitted[i]).min_by_key(|&i| (row[i], i)) {
         emitted[best] = true;
         order.push(best);
-        for (r, ei) in row.iter_mut().zip(e) {
-            *r -= ei[best];
+        for (i, r) in row.iter_mut().enumerate() {
+            *r -= u64::from(e.row(i)[best]);
         }
     }
     order
@@ -181,11 +293,12 @@ pub fn order_cones(e: &[Vec<usize>]) -> Vec<usize> {
 
 /// Cost of a cone ordering: `Σ_{i<j} E(K_{π_i}, K_{π_j})` — the total
 /// number of references from mapped cones to not-yet-mapped cones.
-pub fn ordering_cost(e: &[Vec<usize>], order: &[usize]) -> usize {
+pub fn ordering_cost(e: &ExitLines, order: &[usize]) -> usize {
     let mut cost = 0;
     for (i, &a) in order.iter().enumerate() {
+        let row = e.row(a);
         for &b in &order[i + 1..] {
-            cost += e[a][b];
+            cost += row[b] as usize;
         }
     }
     cost
@@ -214,16 +327,22 @@ mod tests {
         let g = shared_graph();
         let cs = cones(&g);
         assert_eq!(cs.len(), 2);
+        let m = ConeMembership::new(&g, &cs);
         // Both cones contain the shared nand.
         let shared = SubjectNodeId::from_index(3);
-        assert!(cs[0].members.contains(&shared));
-        assert!(cs[1].members.contains(&shared));
-        assert_eq!(cs[0].members.len(), 2);
-        assert_eq!(cs[1].members.len(), 2);
+        assert!(m.contains(0, shared) && m.contains(1, shared));
+        assert_eq!(m.memberships(), 4);
         // Members are topologically sorted with the root last.
-        for c in &cs {
-            assert_eq!(*c.members.last().unwrap(), c.root);
+        for (i, c) in cs.iter().enumerate() {
+            assert_eq!(m.members(i).count(), 2);
+            assert_eq!(m.members(i).last(), Some(c.root));
         }
+        // Inputs belong to no cone.
+        assert!(m.row(SubjectNodeId::from_index(0)).iter().all(|&b| b == 0));
+        assert_eq!((m.next_cone(shared, 0), m.next_cone(shared, 1)), (Some(0), Some(1)));
+        assert_eq!(m.next_cone(shared, 2), None);
+        assert_eq!((m.count_from(shared, 0), m.count_from(shared, 1)), (2, 1));
+        assert_eq!(m.count_from(shared, 2), 0);
     }
 
     #[test]
@@ -266,12 +385,12 @@ mod tests {
     fn exit_lines_between_cones() {
         let g = shared_graph();
         let cs = cones(&g);
-        let e = exit_line_matrix(&g, &cs);
+        let e = exit_line_matrix(&g, &ConeMembership::new(&g, &cs));
         // The shared nand belongs to both cones. Its edge into y2 leaves
         // cone 0 (y2 is outside it) and lands in cone 1, and symmetrically
         // for the edge into y1.
-        assert_eq!(e[0][1], 1);
-        assert_eq!(e[1][0], 1);
+        assert_eq!(e.row(0), [0, 1]);
+        assert_eq!(e.row(1), [1, 0]);
     }
 
     #[test]
@@ -285,11 +404,11 @@ mod tests {
         g.set_output("y1", y1);
         g.set_output("y2", y2);
         let cs = cones(&g);
-        let e = exit_line_matrix(&g, &cs);
+        let e = exit_line_matrix(&g, &ConeMembership::new(&g, &cs));
         // Edge y1 -> y2 leaves cone 0 (y1's cone does not contain y2)
         // and lands in cone 1.
-        assert_eq!(e[0][1], 1);
-        assert_eq!(e[1][0], 0);
+        assert_eq!(e.row(0), [0, 1]);
+        assert_eq!(e.row(1), [0, 0]);
         // Greedy ordering maps cone 1 (the superset) first: its row sum
         // is 0 while cone 0's is 1... but mapping the superset first
         // means the edge is internal by the time cone 0 is processed.
@@ -303,7 +422,7 @@ mod tests {
     fn greedy_ordering_beats_identity_on_chains() {
         // Chain of 4 cones each feeding the next: optimal order is
         // reverse topological.
-        let e = vec![vec![0, 3, 0, 0], vec![0, 0, 3, 0], vec![0, 0, 0, 3], vec![0, 0, 0, 0]];
+        let e = ExitLines::from_fn(4, |i, j| if j == i + 1 { 3 } else { 0 });
         let order = order_cones(&e);
         assert_eq!(order, vec![3, 2, 1, 0]);
         assert_eq!(ordering_cost(&e, &order), 0);
@@ -317,7 +436,7 @@ mod tests {
         g.set_output("y", a);
         let cs = cones(&g);
         assert_eq!(cs.len(), 1);
-        assert!(cs[0].members.is_empty());
+        assert_eq!(ConeMembership::new(&g, &cs).members(0).count(), 0);
         assert_eq!(cs[0].root, a);
     }
 }

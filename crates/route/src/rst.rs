@@ -30,23 +30,14 @@ pub struct PrimScratch {
 
 /// [`rst_length`] over caller-owned buffers.
 ///
-/// Sums the edge lengths in pick order, the order [`rst_edges`] lists
-/// the edges, so the result is bit-identical to summing over
-/// [`rst_edges`]. A picked vertex's best distance *is* its edge length:
-/// both are `pins[parent].manhattan(pins[child])`.
+/// Sums the edge lengths in pick order. A picked vertex's best distance
+/// *is* its edge length: `pins[parent].manhattan(pins[child])` for the
+/// tree vertex it is closest to.
 pub(crate) fn rst_length_with(pins: &[Point], scratch: &mut PrimScratch) -> f64 {
     let PrimScratch { prim, edge_len } = scratch;
     edge_len.clear();
-    prim.run(pins, |_, _, d| edge_len.push(d));
+    prim.run(pins, |d| edge_len.push(d));
     edge_len.iter().sum()
-}
-
-/// The edge list `(parent, child)` of a rectilinear MST over `pins`
-/// (Prim's algorithm from pin 0). Empty for fewer than two pins.
-pub fn rst_edges(pins: &[Point]) -> Vec<(usize, usize)> {
-    let mut edges = Vec::with_capacity(pins.len().saturating_sub(1));
-    Prim::default().run(pins, |parent, child, _| edges.push((parent, child)));
-    edges
 }
 
 /// Prim's algorithm over dense Manhattan distances, with its buffers.
@@ -54,25 +45,21 @@ pub fn rst_edges(pins: &[Point]) -> Vec<(usize, usize)> {
 struct Prim {
     in_tree: Vec<bool>,
     best_dist: Vec<f64>,
-    best_parent: Vec<usize>,
 }
 
 impl Prim {
-    /// Grows the MST from pin 0, calling `edge(parent, child, length)`
-    /// for each tree edge in pick order. No edges for fewer than two
-    /// pins.
-    fn run(&mut self, pins: &[Point], mut edge: impl FnMut(usize, usize, f64)) {
+    /// Grows the MST from pin 0, calling `edge(length)` for each tree
+    /// edge in pick order. No edges for fewer than two pins.
+    fn run(&mut self, pins: &[Point], mut edge: impl FnMut(f64)) {
         let n = pins.len();
         if n < 2 {
             return;
         }
-        let Prim { in_tree, best_dist, best_parent } = self;
+        let Prim { in_tree, best_dist } = self;
         in_tree.clear();
         in_tree.resize(n, false);
         best_dist.clear();
         best_dist.resize(n, f64::INFINITY);
-        best_parent.clear();
-        best_parent.resize(n, 0);
         in_tree[0] = true;
         for j in 1..n {
             best_dist[j] = pins[0].manhattan(pins[j]);
@@ -88,13 +75,12 @@ impl Prim {
             }
             debug_assert_ne!(pick, usize::MAX);
             in_tree[pick] = true;
-            edge(best_parent[pick], pick, pick_d);
+            edge(pick_d);
             for j in 0..n {
                 if !in_tree[j] {
                     let d = pins[pick].manhattan(pins[j]);
                     if d < best_dist[j] {
                         best_dist[j] = d;
-                        best_parent[j] = pick;
                     }
                 }
             }
@@ -110,7 +96,6 @@ mod tests {
     fn degenerate_nets() {
         assert_eq!(rst_length(&[]), 0.0);
         assert_eq!(rst_length(&[Point::new(1.0, 1.0)]), 0.0);
-        assert!(rst_edges(&[Point::new(1.0, 1.0)]).is_empty());
     }
 
     #[test]
@@ -147,28 +132,6 @@ mod tests {
             Point::new(0.0, -5.0),
         ];
         assert!((rst_length(&pins) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edges_form_spanning_tree() {
-        let pins: Vec<Point> =
-            (0..10).map(|i| Point::new((i * 7 % 10) as f64, (i * 3 % 10) as f64)).collect();
-        let edges = rst_edges(&pins);
-        assert_eq!(edges.len(), 9);
-        // Union-find connectivity check.
-        let mut parent: Vec<usize> = (0..10).collect();
-        fn find(p: &mut Vec<usize>, x: usize) -> usize {
-            if p[x] != x {
-                let r = find(p, p[x]);
-                p[x] = r;
-            }
-            p[x]
-        }
-        for &(a, b) in &edges {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            assert_ne!(ra, rb, "cycle in MST");
-            parent[ra] = rb;
-        }
     }
 
     #[test]

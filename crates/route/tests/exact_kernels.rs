@@ -286,7 +286,6 @@ fn scratch_rsmt_matches_allocating_one_steiner() {
             assert_eq!(rsmt_length_with(&net, &mut scratch).to_bits(), want, "{net:?}");
             assert_eq!(rsmt_length(&net).to_bits(), want, "{net:?}");
             assert_eq!(lily_route::rst_length(&net).to_bits(), naive::rst_length(&net).to_bits());
-            assert_eq!(lily_route::rst::rst_edges(&net), naive::rst_edges(&net));
         }
     }
 }

@@ -24,7 +24,11 @@
 //! any artifact a stage produces, shows up there file by file.
 //!
 //! The larger inputs run plain only, in release builds:
-//! `cargo test --release --test contracts -- --include-ignored`.
+//! `cargo test --release --test contracts -- --include-ignored`. Among
+//! them, random DAGs of up to 20 000 nodes are mapped with the cone
+//! partition past its default size ceiling, and their map artifacts
+//! are pinned to hashes recorded before the covering sweep learned to
+//! skip clean nodes.
 //!
 //! `lily_par::set_threads` is process-wide, so the tests in this file
 //! take turns on one lock.
@@ -412,6 +416,46 @@ fn large_inputs_are_bit_exact_across_threads() {
     for row in &rows {
         check_row(row, &[Exec::Plain], None, None, &root);
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The `03-map.json` hash of each random DAG (seed 1) mapped with the
+/// cone partition at any size (`cone_partition_max_nodes` lifted to
+/// `usize::MAX`), recorded with a covering sweep that walked every
+/// member of every cone.
+const GOLDEN_UNCAPPED: [(usize, &str, u64); 6] = [
+    (1000, "lily-area", 0x3b35_a8c8_4ed0_991d),
+    (1000, "cut-area", 0x0b0d_1b05_bc52_2221),
+    (5000, "lily-area", 0xa957_f759_1df3_9136),
+    (5000, "cut-area", 0xc56b_9554_5e15_b93d),
+    (20_000, "lily-area", 0x5969_5873_faad_40f4),
+    (20_000, "cut-area", 0x48a9_24ea_0584_9108),
+];
+
+#[test]
+#[ignore = "release-sized inputs: cargo test --release --test contracts -- --include-ignored"]
+fn uncapped_cone_covers_match_their_recordings() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let root = scratch("uncapped");
+    let mut got = Vec::new();
+    for (nodes, flow, _) in GOLDEN_UNCAPPED {
+        let net = scale_circuit(ScaleFamily::RandomDag, nodes, 1);
+        let (_, options) = FLOWS.into_iter().find(|f| f.0 == flow).expect("flow");
+        let mut options = options();
+        options.physical.cone_partition_max_nodes = usize::MAX;
+        let dir = root.join(format!("{nodes}-{flow}"));
+        let run = FlowRun {
+            checkpoint: Some(dir.clone()),
+            interrupt_after: Some("map".to_string()),
+            ..FlowRun::default()
+        };
+        match run.single(&net, &Library::big(), &options).0 {
+            Err(MapError::Interrupted { stage }) => assert_eq!(stage, "map"),
+            other => panic!("random-dag-{nodes}/{flow}: {:?}", other.err()),
+        }
+        got.push((nodes, flow, file_hash(&dir.join("03-map.json"))));
+    }
+    assert_eq!(got, GOLDEN_UNCAPPED);
     let _ = std::fs::remove_dir_all(&root);
 }
 
